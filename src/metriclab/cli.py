@@ -156,7 +156,8 @@ def _cmd_hyper(args) -> tuple[str, int]:
             h = distance_hypergraph(g)
         return format_hypergraph(h), 0
     h = _read_hypergraph(args.input)
-    cap = _cap(args, "vc_n")
+    # the test cover shares the metric-dimension set-cover engine and cap
+    cap = _cap(args, "md_n" if args.op == "tc" else "vc_n")
     if args.op == "vc":
         k, witness = vc_dimension(h, maxn=cap)
         shattered = witness.vertices if witness else []

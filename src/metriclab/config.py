@@ -1,9 +1,10 @@
 """Instance-size caps and their configuration.
 
-Every exhaustive operation takes an optional ``maxn`` override; when a caller
-passes None the defaults below apply. The caps exist so that a stray huge
-input fails fast with TooLargeError instead of hanging: each guarded search
-is guaranteed exhaustive below its cap.
+Every exhaustive operation takes an optional ``maxn`` override and checks it
+with ``enforce_cap``; when a caller passes None the defaults below apply.
+The caps exist so that a stray huge input fails fast with TooLargeError
+instead of hanging: each guarded search is guaranteed exhaustive below its
+cap.
 
 Defaults can be changed process-wide through a key=value config file
 (``load_config``) or the METRICLAB_MAXN environment variable, which overrides
@@ -79,6 +80,9 @@ def load_config(path: str) -> Caps:
     return _env_override(replace(Caps(), **overrides))
 
 
-def check_cap(n: int, cap: int, what: str) -> None:
+def enforce_cap(n: int, maxn: int | None, field: str, message: str) -> None:
+    """Raise TooLargeError if n exceeds maxn, or the default cap ``field``
+    when maxn is None. ``message`` is formatted with ``n`` and ``cap``."""
+    cap = getattr(default_caps(), field) if maxn is None else maxn
     if n > cap:
-        raise TooLargeError(f"{what}: instance size {n} exceeds cap {cap}")
+        raise TooLargeError(message.format(n=n, cap=cap))

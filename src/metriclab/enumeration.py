@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .config import default_caps
-from .errors import DomainError, TooLargeError
+from .config import enforce_cap
+from .errors import DomainError
 from .graphs import Graph, is_tree, iso_invariant, isomorphic, to_graph6
 
 # Level sequences are 0-based depth lists in preorder: L[0] = 0 and the
@@ -112,17 +112,6 @@ def free_tree_key(g: Graph) -> tuple[int, ...]:
     return _free_canonical(adj)
 
 
-def _graph_from_sequence(seq: list[int]) -> Graph:
-    g = Graph(len(seq))
-    stack: list[int] = []
-    for i, depth in enumerate(seq):
-        del stack[depth:]
-        if stack:
-            g.add_edge(stack[-1], i)
-        stack.append(i)
-    return g
-
-
 _tree_cache: dict[int, list[Graph]] = {}
 
 
@@ -132,8 +121,11 @@ def _free_trees_exact(n: int) -> list[Graph]:
         for seq in _rooted_level_sequences(n):
             # keep the sequence only when it is the free-tree canonical
             # form, i.e. the greatest sequence over center rootings
-            if tuple(seq) == _free_canonical(_adjacency_from_sequence(seq)):
-                out.append(_graph_from_sequence(seq))
+            adj = _adjacency_from_sequence(seq)
+            if tuple(seq) == _free_canonical(adj):
+                out.append(
+                    Graph.from_edges(n, ((u, v) for u, nb in enumerate(adj) for v in nb if u < v))
+                )
         _tree_cache[n] = out
     return _tree_cache[n]
 
@@ -147,9 +139,7 @@ def enumerate_trees(n_max: int, maxn: int | None = None) -> Iterator[Graph]:
     """
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    cap = default_caps().tree_enum_n if maxn is None else maxn
-    if n_max > cap:
-        raise TooLargeError(f"tree enumeration: n_max={n_max} exceeds cap {cap}")
+    enforce_cap(n_max, maxn, "tree_enum_n", "tree enumeration: n_max={n} exceeds cap {cap}")
 
     def stream() -> Iterator[Graph]:
         for n in range(1, n_max + 1):
@@ -198,12 +188,13 @@ def enumerate_connected_graphs(n_max: int, maxn: int | None = None) -> Iterator[
     """
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    cap = default_caps().graph_enum_n if maxn is None else maxn
-    if n_max > cap:
-        raise TooLargeError(
-            f"connected-graph enumeration: n_max={n_max} exceeds cap {cap}; "
-            "ingest a graph6 corpus for larger orders"
-        )
+    enforce_cap(
+        n_max,
+        maxn,
+        "graph_enum_n",
+        "connected-graph enumeration: n_max={n} exceeds cap {cap}; "
+        "ingest a graph6 corpus for larger orders",
+    )
 
     def stream() -> Iterator[Graph]:
         for n in range(1, n_max + 1):

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .config import default_caps
-from .errors import DomainError, TooLargeError
+from .config import enforce_cap
+from .errors import DomainError
 from .graphs import Graph
 
 
@@ -245,11 +245,9 @@ def gen_line_example(k: int, maxk: int | None = None) -> tuple[Graph, ExtremalSp
     endpoint of each pinned edge it names. Vertices of the line graph are
     the root edges: pinned first, then subsets by bitmask, then connectors.
     """
-    cap = default_caps().line_k if maxk is None else maxk
     if k < 2:
         raise DomainError("gen_line_example needs k >= 2")
-    if k > cap:
-        raise TooLargeError(f"gen_line_example: k={k} exceeds cap {cap}")
+    enforce_cap(k, maxk, "line_k", "gen_line_example: k={n} exceeds cap {cap}")
     root_edges = []
     nverts = 0
 

@@ -11,8 +11,12 @@ participate in equality or isomorphism.
 
 from __future__ import annotations
 
-from .config import default_caps
+from .config import enforce_cap
 from .errors import DomainError, FormatError, TooLargeError
+
+# Largest vertex count any parser accepts: the graph6 '~' header's limit.
+# Checked before a graph or hypergraph of that order is allocated.
+MAX_VERTICES = 258047
 
 
 def iter_bits(mask: int):
@@ -191,19 +195,6 @@ def is_connected(g: Graph) -> bool:
     return -1 not in bfs_distances(g, 0)
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    comps = []
-    unseen = (1 << g.n) - 1
-    while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        dist = bfs_distances(g, start)
-        comp = [v for v in range(g.n) if dist[v] >= 0 and (unseen >> v & 1)]
-        comps.append(comp)
-        for v in comp:
-            unseen &= ~(1 << v)
-    return comps
-
-
 def eccentricities(g: Graph) -> list[int]:
     if not is_connected(g):
         raise DomainError("eccentricities need a connected graph")
@@ -329,10 +320,10 @@ def to_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
         head = chr(n + 63)
-    elif n <= 258047:
+    elif n <= MAX_VERTICES:
         head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     else:
-        raise TooLargeError("graph6 encoding beyond 258047 vertices not supported")
+        raise TooLargeError(f"graph6 encoding beyond {MAX_VERTICES} vertices not supported")
     bits = []
     for j in range(1, n):
         col = g.adj[j]
@@ -359,7 +350,7 @@ def parse_graph6(text: str) -> Graph:
         raise FormatError("graph6 characters must be in chr(63)..chr(126)")
     if data[0] == 63:  # '~'
         if len(data) >= 2 and data[1] == 63:
-            raise TooLargeError("graph6 '~~' form (n >= 258048) not supported")
+            raise TooLargeError(f"graph6 '~~' form (n > {MAX_VERTICES}) not supported")
         if len(data) < 4:
             raise FormatError("truncated graph6 header")
         n = data[1] << 12 | data[2] << 6 | data[3]
@@ -407,6 +398,11 @@ def parse_edge_list(text: str) -> Graph:
             raise FormatError(f"line {lineno}: self-loop {u}")
         pairs.append((u, v))
         top = max(top, u, v)
+        if top >= MAX_VERTICES:
+            raise TooLargeError(
+                f"line {lineno}: vertex id {top} needs more than the input cap of "
+                f"{MAX_VERTICES} vertices"
+            )
     if top < 0:
         raise FormatError("edge list has no edges; use graph6 for edgeless graphs")
     return Graph.from_edges(top + 1, pairs)
@@ -452,9 +448,7 @@ def isomorphic(g: Graph, h: Graph, maxn: int | None = None) -> bool:
     cg, ch = _refined_colors(g), _refined_colors(h)
     if sorted(cg) != sorted(ch):
         return False
-    cap = default_caps().iso_n if maxn is None else maxn
-    if g.n > cap:
-        raise TooLargeError(f"isomorphism: n={g.n} exceeds cap {cap}")
+    enforce_cap(g.n, maxn, "iso_n", "isomorphism: n={n} exceeds cap {cap}")
 
     by_color: dict[int, list[int]] = {}
     for w, c in enumerate(ch):

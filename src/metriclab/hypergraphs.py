@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .config import default_caps
+from .config import enforce_cap
 from .errors import DomainError, FormatError, TooLargeError
-from .graphs import Graph, all_distances, diameter, is_connected, iter_bits
+from .graphs import MAX_VERTICES, Graph, all_distances, iter_bits
 from .setcover import min_cover
 
 
@@ -89,6 +89,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
         raise FormatError("header counts must be integers") from exc
     if nverts < 0 or nedges < 0:
         raise FormatError("header counts must be nonnegative")
+    if nverts > MAX_VERTICES:
+        raise TooLargeError(f"NVERTS={nverts} exceeds the input cap of {MAX_VERTICES}")
     if len(lines) < 1 + nedges:
         raise FormatError(f"expected {nedges} edge lines, found {len(lines) - 1}")
     for extra in lines[1 + nedges :]:
@@ -195,38 +197,6 @@ def _shatter_assignment(h: Hypergraph, xmask: int) -> dict[int, int] | None:
     return found
 
 
-def vc_dimension(h: Hypergraph, maxn: int | None = None) -> tuple[int, ShatterWitness | None]:
-    """Exact VC dimension with a shatter witness.
-
-    An edgeless hypergraph shatters nothing (not even the empty set): (0, None).
-    """
-    cap = default_caps().vc_n if maxn is None else maxn
-    if h.nverts > cap:
-        raise TooLargeError(f"vc_dimension: nverts={h.nverts} exceeds cap {cap}")
-    if not h.edges:
-        return 0, None
-    best_mask = 0
-    level = [0]
-    while True:
-        nxt = []
-        for xmask in level:
-            lo = xmask.bit_length()
-            for v in range(lo, h.nverts):
-                cand = xmask | 1 << v
-                if _shatter_assignment(h, cand) is not None:
-                    nxt.append(cand)
-        if not nxt:
-            break
-        level = nxt
-        best_mask = level[0]
-    assign = _shatter_assignment(h, best_mask)
-    witness = ShatterWitness(
-        list(iter_bits(best_mask)),
-        {tuple(iter_bits(sub)): i for sub, i in assign.items()},
-    )
-    return best_mask.bit_count(), witness
-
-
 def _two_shatter_assignment(h: Hypergraph, xmask: int) -> dict[int, int] | None:
     """pairmask -> realizing edge if every pair is an exact trace, else None."""
     found: dict[int, int] = {}
@@ -242,28 +212,25 @@ def _two_shatter_assignment(h: Hypergraph, xmask: int) -> dict[int, int] | None:
     return found
 
 
-def vc2_dimension(h: Hypergraph, maxn: int | None = None) -> tuple[int, ShatterWitness]:
-    """Exact 2-VC dimension. Vacuous below two vertices, so >= 1 when nverts >= 1."""
-    cap = default_caps().vc_n if maxn is None else maxn
-    if h.nverts > cap:
-        raise TooLargeError(f"vc2_dimension: nverts={h.nverts} exceeds cap {cap}")
-    if h.nverts == 0:
-        return 0, ShatterWitness([], {})
-    best_mask = 1
-    level = [1 << v for v in range(h.nverts)]
+def _largest_shattered(h: Hypergraph, level: list[int], assignment) -> tuple[int, ShatterWitness]:
+    """Levelwise search from the sets in ``level`` (all of one size, each
+    passing ``assignment``): grow each set by every larger vertex, keep the
+    candidates ``assignment`` accepts, stop at the first empty level. The
+    witness is the first set of the last level. Sound because shattering
+    and 2-shattering are both hereditary."""
+    best_mask = level[0]
     while True:
         nxt = []
         for xmask in level:
-            lo = xmask.bit_length()
-            for v in range(lo, h.nverts):
+            for v in range(xmask.bit_length(), h.nverts):
                 cand = xmask | 1 << v
-                if _two_shatter_assignment(h, cand) is not None:
+                if assignment(h, cand) is not None:
                     nxt.append(cand)
         if not nxt:
             break
         level = nxt
         best_mask = level[0]
-    assign = _two_shatter_assignment(h, best_mask)
+    assign = assignment(h, best_mask)
     witness = ShatterWitness(
         list(iter_bits(best_mask)),
         {tuple(iter_bits(sub)): i for sub, i in assign.items()},
@@ -271,73 +238,75 @@ def vc2_dimension(h: Hypergraph, maxn: int | None = None) -> tuple[int, ShatterW
     return best_mask.bit_count(), witness
 
 
+def vc_dimension(h: Hypergraph, maxn: int | None = None) -> tuple[int, ShatterWitness | None]:
+    """Exact VC dimension with a shatter witness.
+
+    An edgeless hypergraph shatters nothing (not even the empty set): (0, None).
+    """
+    enforce_cap(h.nverts, maxn, "vc_n", "vc_dimension: nverts={n} exceeds cap {cap}")
+    if not h.edges:
+        return 0, None
+    return _largest_shattered(h, [0], _shatter_assignment)
+
+
+def vc2_dimension(h: Hypergraph, maxn: int | None = None) -> tuple[int, ShatterWitness]:
+    """Exact 2-VC dimension. Vacuous below two vertices, so >= 1 when nverts >= 1."""
+    enforce_cap(h.nverts, maxn, "vc_n", "vc2_dimension: nverts={n} exceeds cap {cap}")
+    if h.nverts == 0:
+        return 0, ShatterWitness([], {})
+    return _largest_shattered(h, [1 << v for v in range(h.nverts)], _two_shatter_assignment)
+
+
 # ---------------------------------------------------------------------------
 # distance hypergraphs
 
 
-def distance_hypergraph(g: Graph, deduplicate: bool = True) -> Hypergraph:
+def _balls(g: Graph) -> list[list[int]]:
+    """balls[r][v] is the vertex mask of B(v, r), for r = 0..diam(g)."""
+    dist = all_distances(g)
+    if not dist or -1 in dist[0]:
+        raise DomainError("distance hypergraph needs a connected nonempty graph")
+    balls = [[0] * g.n for _ in range(max(map(max, dist)) + 1)]
+    for v, row in enumerate(dist):
+        for u, d in enumerate(row):
+            balls[d][v] |= 1 << u  # spheres first, summed up below
+    for r in range(1, len(balls)):
+        balls[r] = [inner | sphere for inner, sphere in zip(balls[r - 1], balls[r])]
+    return balls
+
+
+def _first_centers(balls: list[list[int]]) -> dict[int, tuple[int, int]]:
+    """Each distinct ball -> its first (center, radius), in edge order:
+    radius outer loop, center inner."""
+    first: dict[int, tuple[int, int]] = {}
+    for r, row in enumerate(balls):
+        for v, ball in enumerate(row):
+            if ball not in first:
+                first[ball] = (v, r)
+    return first
+
+
+def distance_hypergraph(g: Graph) -> Hypergraph:
     """All balls B(v, r) for r = 0..diam(G), one edge per distinct ball.
 
     Edge order: radius outer loop, center inner; each kept edge is labeled
-    by its first (center, radius) representative. deduplicate=False keeps
-    every (center, radius) pair as its own slot, for debugging.
+    by its first (center, radius) representative.
     """
-    if g.n == 0 or not is_connected(g):
-        raise DomainError("distance hypergraph needs a connected nonempty graph")
-    dist = all_distances(g)
-    d = max(max(row) for row in dist)
-    edges = []
-    labels = []
-    seen = set()
-    for r in range(d + 1):
-        for v in range(g.n):
-            ball = 0
-            for u in range(g.n):
-                if dist[v][u] <= r:
-                    ball |= 1 << u
-            if deduplicate:
-                if ball in seen:
-                    continue
-                seen.add(ball)
-            edges.append(ball)
-            labels.append(f"B({v},{r})")
-    return Hypergraph(g.n, edges, labels)
+    first = _first_centers(_balls(g))
+    return Hypergraph(g.n, list(first), [f"B({v},{r})" for v, r in first.values()])
 
 
 def distance_hypergraph_fixed_radius(g: Graph, radius: int) -> Hypergraph:
     """One edge per vertex: its ball of the given radius. Never deduplicated,
     so the dual equals the hypergraph itself slot for slot."""
-    if g.n == 0 or not is_connected(g):
-        raise DomainError("distance hypergraph needs a connected nonempty graph")
-    d = diameter(g)
-    if not 0 <= radius <= d:
-        raise DomainError(f"radius {radius} outside 0..{d}")
-    dist = all_distances(g)
-    edges = []
-    labels = []
-    for v in range(g.n):
-        ball = 0
-        for u in range(g.n):
-            if dist[v][u] <= radius:
-                ball |= 1 << u
-        edges.append(ball)
-        labels.append(f"B({v},{radius})")
-    return Hypergraph(g.n, edges, labels)
-
-
-def dual_distance_vc(g: Graph, maxn: int | None = None) -> int:
-    """vc of the dual of the (deduplicated) ball hypergraph of g."""
-    cap = default_caps().vc_n if maxn is None else maxn
-    if g.n > cap:
-        raise TooLargeError(f"dual_distance_vc: n={g.n} exceeds cap {cap}")
-    d = dual(distance_hypergraph(g))
-    return vc_dimension(d, maxn=d.nverts)[0]
+    balls = _balls(g)
+    if not 0 <= radius < len(balls):
+        raise DomainError(f"radius {radius} outside 0..{len(balls) - 1}")
+    return Hypergraph(g.n, balls[radius], [f"B({v},{radius})" for v in range(g.n)])
 
 
 def dual_distance_2vc(g: Graph, maxn: int | None = None) -> int:
-    cap = default_caps().vc_n if maxn is None else maxn
-    if g.n > cap:
-        raise TooLargeError(f"dual_distance_2vc: n={g.n} exceeds cap {cap}")
+    enforce_cap(g.n, maxn, "vc_n", "dual_distance_2vc: n={n} exceeds cap {cap}")
     d = dual(distance_hypergraph(g))
     return vc2_dimension(d, maxn=d.nverts)[0]
 
@@ -353,9 +322,7 @@ def min_test_cover(h: Hypergraph, maxn: int | None = None) -> list[int]:
     is the vertices (coverage bits) plus the vertex pairs (separation bits).
     Returns sorted edge slots.
     """
-    cap = default_caps().md_n if maxn is None else maxn
-    if h.nverts > cap:
-        raise TooLargeError(f"min_test_cover: nverts={h.nverts} exceeds cap {cap}")
+    enforce_cap(h.nverts, maxn, "md_n", "min_test_cover: nverts={n} exceeds cap {cap}")
     if not is_twin_free(h):
         raise DomainError("hypergraph has twin vertices; no test cover exists")
     n = h.nverts

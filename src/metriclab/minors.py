@@ -16,8 +16,8 @@ disjointness/adjacency checks and same-class symmetry breaking.
 
 from __future__ import annotations
 
-from .config import default_caps
-from .errors import DomainError, TooLargeError
+from .config import enforce_cap
+from .errors import DomainError
 from .graphs import Graph, biconnected_components, iter_bits
 
 
@@ -111,6 +111,29 @@ def _is_cycle_block(b: Graph) -> bool:
     return b.n >= 3 and all(b.degree(v) == 2 for v in range(b.n))
 
 
+def _minor_in_some_block(
+    g: Graph, pattern_adj: list[int], classes: list[int], maxn: int | None, too_large: str
+) -> bool:
+    """Search the blocks of g that could hold the 2-connected pattern, smallest
+    first. Bare cycles are skipped; blocks are smoothed when every pattern
+    vertex has degree >= 3. The minor_n cap applies to each reduced block
+    just before its search, with ``too_large`` as the message."""
+    t = len(pattern_adj)
+    smooth = all(p.bit_count() >= 3 for p in pattern_adj)
+    blocks = [g.induced(b) for b in biconnected_components(g) if len(b) >= t]
+    for b in sorted(blocks, key=lambda b: b.n):
+        if _is_cycle_block(b):
+            continue
+        if smooth:
+            b = _smooth(b)
+            if b.n < t:
+                continue
+        enforce_cap(b.n, maxn, "minor_n", too_large)
+        if _branch_set_search(b, pattern_adj, classes):
+            return True
+    return False
+
+
 def has_clique_minor(g: Graph, t: int, maxn: int | None = None) -> bool:
     """Does g have a K_t minor? Exact; cap applies after reductions."""
     if t < 1:
@@ -119,25 +142,12 @@ def has_clique_minor(g: Graph, t: int, maxn: int | None = None) -> bool:
         return g.n >= 1
     if t == 2:
         return g.m >= 1
-    blocks = [g.induced(b) for b in biconnected_components(g) if len(b) >= t]
     if t == 3:
-        return any(b.n >= 3 for b in blocks)
-    cap = default_caps().minor_n if maxn is None else maxn
+        return any(len(b) >= 3 for b in biconnected_components(g))
     pattern = [((1 << t) - 1) & ~(1 << i) for i in range(t)]
-    classes = [0] * t
-    for b in sorted(blocks, key=lambda b: b.n):
-        if _is_cycle_block(b):
-            continue
-        s = _smooth(b)
-        if s.n < t:
-            continue
-        if s.n > cap:
-            raise TooLargeError(
-                f"has_clique_minor: reduced block has {s.n} vertices, cap {cap}"
-            )
-        if _branch_set_search(s, pattern, classes):
-            return True
-    return False
+    return _minor_in_some_block(
+        g, pattern, [0] * t, maxn, "has_clique_minor: reduced block has {n} vertices, cap {cap}"
+    )
 
 
 _K23_ADJ = [0b11100, 0b11100, 0b00011, 0b00011, 0b00011]
@@ -147,18 +157,9 @@ _K23_CLASSES = [0, 0, 1, 1, 1]
 def has_k23_minor(g: Graph, maxn: int | None = None) -> bool:
     """Does g have a K_{2,3} minor? No smoothing here (pattern has degree-2
     vertices); bare-cycle blocks are skipped, the cap guards the rest."""
-    cap = default_caps().minor_n if maxn is None else maxn
-    blocks = [g.induced(b) for b in biconnected_components(g) if len(b) >= 5]
-    for b in sorted(blocks, key=lambda b: b.n):
-        if _is_cycle_block(b):
-            continue
-        if b.n > cap:
-            raise TooLargeError(
-                f"has_k23_minor: block has {b.n} vertices, cap {cap}"
-            )
-        if _branch_set_search(b, _K23_ADJ, _K23_CLASSES):
-            return True
-    return False
+    return _minor_in_some_block(
+        g, _K23_ADJ, _K23_CLASSES, maxn, "has_k23_minor: block has {n} vertices, cap {cap}"
+    )
 
 
 def is_outerplanar(g: Graph, maxn: int | None = None) -> bool:

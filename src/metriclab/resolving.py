@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import default_caps
-from .errors import DomainError, TooLargeError
+from .config import enforce_cap
+from .errors import DomainError
 from .graphs import Graph, all_distances, is_connected, is_tree, iter_bits
+from .hypergraphs import _balls, _first_centers
 from .setcover import min_cover
 
 
@@ -82,9 +83,7 @@ def metric_dimension_exact(g: Graph, maxn: int | None = None) -> ResolvingCertif
     """Minimum resolving set by reduction to set cover; deterministic output."""
     if not is_connected(g) or g.n == 0:
         raise DomainError("metric dimension needs a connected nonempty graph")
-    cap = default_caps().md_n if maxn is None else maxn
-    if g.n > cap:
-        raise TooLargeError(f"metric_dimension_exact: n={g.n} exceeds cap {cap}")
+    enforce_cap(g.n, maxn, "md_n", "metric_dimension_exact: n={n} exceeds cap {cap}")
     n = g.n
     dist = all_distances(g)
 
@@ -155,15 +154,6 @@ def tree_metric_dimension(t: Graph) -> ResolvingCertificate:
 # conversions between resolving sets and test covers of the ball hypergraph
 
 
-def _ball_slots(g: Graph):
-    """(hypergraph, mask -> slot, mask of B(v,r) on demand) helpers."""
-    from .hypergraphs import distance_hypergraph
-
-    h = distance_hypergraph(g)
-    slot = {mask: i for i, mask in enumerate(h.edges)}
-    return h, slot
-
-
 def resolving_to_test_cover(g: Graph, s) -> list[int]:
     """Edge slots of distance_hypergraph(g) forming a test cover of size
     at most d*|s| + 1: radii 0..d-1 around each landmark, plus one full-
@@ -171,27 +161,18 @@ def resolving_to_test_cover(g: Graph, s) -> list[int]:
     if not is_resolving(g, s):
         raise DomainError("input set is not resolving")
     landmarks = sorted(set(s))
-    dist = all_distances(g)
-    d = max(max(row) for row in dist)
-    h, slot = _ball_slots(g)
+    balls = _balls(g)
+    edges = list(_first_centers(balls))
+    slot = {mask: i for i, mask in enumerate(edges)}
+    d = len(balls) - 1
 
-    def ball(v: int, r: int) -> int:
-        m = 0
-        for u in range(g.n):
-            if dist[v][u] <= r:
-                m |= 1 << u
-        return m
-
-    chosen = set()
-    for x in landmarks:
-        for r in range(d):
-            chosen.add(slot[ball(x, r)])
+    chosen = {slot[balls[r][x]] for x in landmarks for r in range(d)}
     anchor = landmarks[0] if landmarks else 0
-    chosen.add(slot[ball(anchor, d)])
+    chosen.add(slot[balls[d][anchor]])
 
     out = sorted(chosen)
     sigs = [
-        frozenset(i for i in out if h.edges[i] >> v & 1) for v in range(g.n)
+        frozenset(i for i in out if edges[i] >> v & 1) for v in range(g.n)
     ]
     assert all(sigs) and len(set(sigs)) == g.n
     return out
@@ -200,28 +181,17 @@ def resolving_to_test_cover(g: Graph, s) -> list[int]:
 def test_cover_to_resolving(g: Graph, slots) -> list[int]:
     """One center per chosen ball (its first (radius, center) representative);
     a resolving set no larger than the cover."""
-    h, _ = _ball_slots(g)
+    first = _first_centers(_balls(g))
+    edges = list(first)
     chosen = sorted(set(slots))
     for i in chosen:
-        if not 0 <= i < len(h.edges):
+        if not 0 <= i < len(edges):
             raise DomainError(f"edge slot {i} out of range")
     sigs = [
-        frozenset(i for i in chosen if h.edges[i] >> v & 1) for v in range(g.n)
+        frozenset(i for i in chosen if edges[i] >> v & 1) for v in range(g.n)
     ]
     if not (all(sigs) and len(set(sigs)) == g.n):
         raise DomainError("chosen edges are not a test cover")
-
-    dist = all_distances(g)
-    d = max(max(row) for row in dist)
-    center: dict[int, int] = {}
-    for r in range(d + 1):
-        for v in range(g.n):
-            m = 0
-            for u in range(g.n):
-                if dist[v][u] <= r:
-                    m |= 1 << u
-            if m not in center:
-                center[m] = v
-    out = sorted({center[h.edges[i]] for i in chosen})
+    out = sorted({first[edges[i]][0] for i in chosen})
     assert is_resolving(g, out)
     return out

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .config import default_caps
-from .errors import DomainError, FormatError, TooLargeError
+from .config import enforce_cap
+from .errors import DomainError, FormatError
 from .graphs import Graph, all_distances, is_chordal, is_connected, iter_bits, mcs_order
 
 
@@ -369,11 +369,7 @@ def treewidth_exact(g: Graph, maxn: int | None = None) -> tuple[int, TreeDecompo
     paths, trees and chordal graphs pass at any size.
     """
     core, names, stack, peeled_deg = _strip_simplicial(g)
-    cap = default_caps().treewidth_n if maxn is None else maxn
-    if core.n > cap:
-        raise TooLargeError(
-            f"treewidth_exact: core has {core.n} vertices, cap {cap}"
-        )
+    enforce_cap(core.n, maxn, "treewidth_n", "treewidth_exact: core has {n} vertices, cap {cap}")
     if core.n:
         core_tw, order = _treewidth_core(core)
         raw_bags, raw_edges = _decomp_from_order(core, order)

@@ -229,6 +229,28 @@ def test_cap_precedence_flag_beats_config(cli, tmp_path):
     assert code == 0 and json.loads(out)["dimension"] == 3
 
 
+def test_hyper_tc_config_reads_the_test_cover_cap(cli, tmp_path):
+    # 25 vertices, one edge per bit of the codes 1..25: twin-free, the five
+    # edges form the unique minimum test cover
+    edges = [" ".join(str(v) for v in range(25) if (v + 1) >> j & 1) for j in range(5)]
+    text = "p hyper 25 5\n" + "\n".join(edges) + "\n"
+    want = '{"edges": [0, 1, 2, 3, 4], "schema": 1, "size": 5}\n'
+    assert cli(["hyper", "tc"], stdin_text=text) == (0, want, "")
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("minor_n = 14\n")
+    assert cli(["hyper", "tc", "--config", str(cfg)], stdin_text=text) == (0, want, "")
+    cfg.write_text("md_n = 24\n")
+    code, out, err = cli(["hyper", "tc", "--config", str(cfg)], stdin_text=text)
+    assert code == 3 and out == "" and "cap 24" in err
+
+
+def test_oversized_inputs_exit_before_allocating(cli):
+    code, out, err = cli(["solve", "md"], stdin_text="0 1000000000\n")
+    assert code == 3 and out == "" and "cap" in err
+    code, out, err = cli(["hyper", "vc"], stdin_text="p hyper 1000000000 0\n")
+    assert code == 3 and out == "" and "cap" in err
+
+
 def test_missing_input_file(cli, tmp_path):
     code, out, err = cli(["solve", "md", str(tmp_path / "absent.g6")])
     assert code == 2 and out == "" and "cannot read" in err

@@ -5,13 +5,13 @@ import pytest
 
 from metriclab.errors import DomainError, FormatError, TooLargeError
 from metriclab.graphs import (
+    MAX_VERTICES,
     Graph,
     all_distances,
     bfs_distances,
     biconnected_components,
     complete_bipartite,
     complete_graph,
-    connected_components,
     cycle_graph,
     diameter,
     eccentricities,
@@ -80,7 +80,6 @@ def test_components_and_connectivity():
     g.add_edge(1, 2)
     g.add_edge(4, 5)
     assert not is_connected(g)
-    assert connected_components(g) == [[0, 1, 2], [3], [4, 5]]
     assert is_connected(path_graph(7))
     assert is_connected(Graph(0))
 
@@ -173,6 +172,15 @@ def test_edge_list_errors():
     for bad in ["", "0", "0 1 2", "a b", "0 0", "-1 2"]:
         with pytest.raises(FormatError):
             parse_edge_list(bad)
+
+
+def test_edge_list_vertex_count_ceiling():
+    # ids are checked before the graph is allocated; the ceiling is the
+    # largest order graph6 can encode
+    assert parse_edge_list(f"0 {MAX_VERTICES - 1}").n == MAX_VERTICES
+    for text in (f"0 1\n{MAX_VERTICES} 1", "0 1000000000"):
+        with pytest.raises(TooLargeError):
+            parse_edge_list(text)
 
 
 # chordality -----------------------------------------------------------------

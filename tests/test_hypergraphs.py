@@ -5,7 +5,9 @@ from itertools import combinations
 import pytest
 
 from metriclab.errors import DomainError, FormatError, TooLargeError
+from metriclab.enumeration import enumerate_connected_graphs
 from metriclab.graphs import (
+    MAX_VERTICES,
     Graph,
     complete_graph,
     cycle_graph,
@@ -19,7 +21,6 @@ from metriclab.hypergraphs import (
     distance_hypergraph_fixed_radius,
     dual,
     dual_distance_2vc,
-    dual_distance_vc,
     format_hypergraph,
     is_twin_free,
     min_test_cover,
@@ -29,6 +30,8 @@ from metriclab.hypergraphs import (
     vc2_dimension,
     vc_dimension,
 )
+from metriclab.resolving import metric_dimension_exact, resolving_to_test_cover
+from metriclab.resolving import test_cover_to_resolving as cover_to_resolving
 
 import oracles
 
@@ -71,6 +74,14 @@ def test_text_errors():
     ]:
         with pytest.raises(FormatError):
             parse_hypergraph(bad)
+
+
+def test_text_vertex_count_ceiling():
+    # the header is checked before the vertex mask is allocated
+    assert parse_hypergraph(f"p hyper {MAX_VERTICES} 0").nverts == MAX_VERTICES
+    for nverts in (MAX_VERTICES + 1, 10**9):
+        with pytest.raises(TooLargeError):
+            parse_hypergraph(f"p hyper {nverts} 0")
 
 
 # dedup and trace ------------------------------------------------------------
@@ -234,13 +245,6 @@ def test_distance_hypergraph_requires_connected():
         distance_hypergraph(Graph(0))
 
 
-def test_distance_hypergraph_multiplicity_flag():
-    g = path_graph(4)
-    h = distance_hypergraph(g, deduplicate=False)
-    assert len(h.edges) == g.n * (3 + 1)
-    assert dedup(h) == distance_hypergraph(g)
-
-
 def test_fixed_radius():
     assert distance_hypergraph_fixed_radius(path_graph(3), 1).edges == [
         0b011,
@@ -252,6 +256,45 @@ def test_fixed_radius():
         distance_hypergraph_fixed_radius(path_graph(3), 3)
     with pytest.raises(DomainError):
         distance_hypergraph_fixed_radius(path_graph(3), -1)
+
+
+def test_ball_families_match_floyd_warshall_oracle():
+    pool = list(enumerate_connected_graphs(6))
+    assert len(pool) == 143
+    for g in pool:
+        dist = oracles.fw_distances(g)
+        diam = max(map(max, dist))
+        balls = [
+            [sum(1 << u for u in range(g.n) if dist[v][u] <= r) for v in range(g.n)]
+            for r in range(diam + 1)
+        ]
+        # distinct balls in edge order (radius outer, center inner), each
+        # with its first (center, radius)
+        first = {}
+        for r, row in enumerate(balls):
+            for v, ball in enumerate(row):
+                first.setdefault(ball, (v, r))
+        h = distance_hypergraph(g)
+        assert h.edges == list(first)
+        assert h.edge_labels == [f"B({v},{r})" for v, r in first.values()]
+
+        for r in range(diam + 1):
+            fixed = distance_hypergraph_fixed_radius(g, r)
+            assert fixed.edges == balls[r]
+            assert fixed.edge_labels == [f"B({v},{r})" for v in range(g.n)]
+        for r in (-1, diam + 1):
+            with pytest.raises(DomainError):
+                distance_hypergraph_fixed_radius(g, r)
+
+        s = metric_dimension_exact(g).vertices
+        slot = {ball: i for i, ball in enumerate(first)}
+        anchor = s[0] if s else 0
+        want = {slot[balls[r][x]] for x in s for r in range(diam)}
+        want.add(slot[balls[diam][anchor]])
+        cover = resolving_to_test_cover(g, s)
+        assert cover == sorted(want)
+        centers = [v for v, _ in first.values()]
+        assert cover_to_resolving(g, cover) == sorted({centers[i] for i in cover})
 
 
 def test_fixed_radius_self_dual():
@@ -269,9 +312,7 @@ def test_fixed_radius_self_dual():
 
 
 def test_dual_distance_vc_examples():
-    assert dual_distance_vc(Graph(1)) == 0
     p3 = path_graph(3)
-    assert dual_distance_vc(p3) == oracles.brute_vc(dual(distance_hypergraph(p3)))
     assert dual_distance_2vc(p3) == oracles.brute_vc2(dual(distance_hypergraph(p3)))
 
 
@@ -280,11 +321,6 @@ def test_trees_have_small_dual_distance_2vc():
     for _ in range(40):
         t = oracles.random_tree(rng, rng.randrange(1, 10))
         assert dual_distance_2vc(t) <= 2
-
-
-def test_dual_distance_vc_cap():
-    with pytest.raises(TooLargeError):
-        dual_distance_vc(path_graph(3), maxn=2)
 
 
 # test covers ----------------------------------------------------------------
