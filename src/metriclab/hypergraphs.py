@@ -182,60 +182,68 @@ def is_twin_free(h: Hypergraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# VC dimension and 2-VC dimension, levelwise with trace-count pruning
+# VC dimension and 2-VC dimension: levelwise search with one edge pass per
+# surviving set, extended by the union/intersection rule (_largest_shattered)
 
 
-def _shatter_assignment(h: Hypergraph, xmask: int) -> dict[int, int] | None:
-    """submask -> first realizing edge slot if xmask is shattered, else None."""
-    found: dict[int, int] = {}
-    for i, e in enumerate(h.edges):
+def _extensions(edges: list[int], nverts: int, xmask: int, pairs_only: bool) -> int:
+    """Mask of the v > max(xmask) that extend the (2-)shattered set xmask."""
+    groups: dict[int, list[int]] = {}  # trace -> [OR_t, AND_t]
+    for e in edges:
         t = e & xmask
-        if t not in found:
-            found[t] = i
-    if len(found) != 1 << xmask.bit_count():
-        return None
-    return found
-
-
-def _two_shatter_assignment(h: Hypergraph, xmask: int) -> dict[int, int] | None:
-    """pairmask -> realizing edge if every pair is an exact trace, else None."""
-    found: dict[int, int] = {}
-    verts = list(iter_bits(xmask))
-    for a, b in combinations(verts, 2):
-        want = (1 << a) | (1 << b)
-        for i, e in enumerate(h.edges):
-            if e & xmask == want:
-                found[want] = i
-                break
+        g = groups.get(t)
+        if g is None:
+            groups[t] = [e, e]
         else:
-            return None
-    return found
+            g[0] |= e
+            g[1] &= e
+    mask = (1 << nverts) - (1 << xmask.bit_length())
+    if not pairs_only:
+        for union, meet in groups.values():
+            mask &= union & ~meet
+        return mask
+    for a in iter_bits(xmask):
+        mask &= groups.get(1 << a, (0,))[0]
+    for t, (_, meet) in groups.items():
+        if t.bit_count() == 2:
+            mask &= ~meet
+    return mask
 
 
-def _largest_shattered(h: Hypergraph, level: list[int], assignment) -> tuple[int, ShatterWitness]:
+def _largest_shattered(h: Hypergraph, level: list[int], pairs_only: bool) -> tuple[int, ShatterWitness]:
     """Levelwise search from the sets in ``level`` (all of one size, each
-    passing ``assignment``): grow each set by every larger vertex, keep the
-    candidates ``assignment`` accepts, stop at the first empty level. The
-    witness is the first set of the last level. Sound because shattering
-    and 2-shattering are both hereditary."""
-    best_mask = level[0]
+    shattered, or 2-shattered if ``pairs_only``) up to the first empty level.
+
+    One pass over the edges per surviving set X groups them by trace
+    t = e & X and keeps each group's union OR_t and intersection AND_t.
+    For v > max(X), X | {v} is shattered iff v splits every group (v in
+    OR_t & ~AND_t for every t), and 2-shattered iff v lies in OR_{a} for
+    every a in X (so trace {a} must occur) and outside AND_{a,b} for every
+    pair of X. Both rules are exact because both properties are hereditary:
+    X is known to qualify, so only the traces that gain v are in question.
+    Parents go in level order and extensions in increasing v, so every level
+    and the witness (the first set of the last level, realized by the first
+    edge slot of each trace, pairs only for 2-shattering) are those of
+    testing each candidate X | {v} on its own.
+    """
     while True:
         nxt = []
         for xmask in level:
-            for v in range(xmask.bit_length(), h.nverts):
-                cand = xmask | 1 << v
-                if assignment(h, cand) is not None:
-                    nxt.append(cand)
+            ext = _extensions(h.edges, h.nverts, xmask, pairs_only)
+            nxt.extend(xmask | 1 << v for v in iter_bits(ext))
         if not nxt:
             break
         level = nxt
-        best_mask = level[0]
-    assign = assignment(h, best_mask)
-    witness = ShatterWitness(
-        list(iter_bits(best_mask)),
-        {tuple(iter_bits(sub)): i for sub, i in assign.items()},
-    )
-    return best_mask.bit_count(), witness
+    best = level[0]
+    first: dict[int, int] = {}
+    for i, e in enumerate(h.edges):
+        t = e & best
+        if t not in first and (not pairs_only or t.bit_count() == 2):
+            first[t] = i
+    k = best.bit_count()
+    assert len(first) == (k * (k - 1) // 2 if pairs_only else 1 << k)
+    assignment = {tuple(iter_bits(t)): i for t, i in first.items()}
+    return k, ShatterWitness(list(iter_bits(best)), assignment)
 
 
 def vc_dimension(h: Hypergraph, maxn: int | None = None) -> tuple[int, ShatterWitness | None]:
@@ -246,7 +254,7 @@ def vc_dimension(h: Hypergraph, maxn: int | None = None) -> tuple[int, ShatterWi
     enforce_cap(h.nverts, maxn, "vc_n", "vc_dimension: nverts={n} exceeds cap {cap}")
     if not h.edges:
         return 0, None
-    return _largest_shattered(h, [0], _shatter_assignment)
+    return _largest_shattered(h, [0], pairs_only=False)
 
 
 def vc2_dimension(h: Hypergraph, maxn: int | None = None) -> tuple[int, ShatterWitness]:
@@ -254,7 +262,7 @@ def vc2_dimension(h: Hypergraph, maxn: int | None = None) -> tuple[int, ShatterW
     enforce_cap(h.nverts, maxn, "vc_n", "vc2_dimension: nverts={n} exceeds cap {cap}")
     if h.nverts == 0:
         return 0, ShatterWitness([], {})
-    return _largest_shattered(h, [1 << v for v in range(h.nverts)], _two_shatter_assignment)
+    return _largest_shattered(h, [1 << v for v in range(h.nverts)], pairs_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +360,7 @@ def prop9_witness(h: Hypergraph, maxn: int | None = None) -> Hypergraph:
     of A, labeled "A0".."A{k-1}" in the result, form a test cover of size k;
     all of that is verified before returning.
     """
-    dcap = len(h.edges) if maxn is None else maxn
-    k, wit = vc_dimension(dual(h), maxn=dcap)
+    k, wit = vc_dimension(dual(h), maxn=maxn)
     if k == 0 or wit is None:
         raise DomainError("dual VC dimension is 0: no shattered family of edges")
     family = wit.vertices  # edge slots of h

@@ -43,8 +43,11 @@ def resolving_vectors(g: Graph, s) -> dict[int, tuple[int, ...]]:
     for x in landmarks:
         if not 0 <= x < g.n:
             raise DomainError(f"landmark {x} out of range")
-    dist = all_distances(g)
-    return {v: tuple(dist[x][v] for x in landmarks) for v in range(g.n)}
+    return _vectors(all_distances(g), landmarks)
+
+
+def _vectors(dist: list[list[int]], landmarks: list[int]) -> dict[int, tuple[int, ...]]:
+    return {v: tuple(dist[x][v] for x in landmarks) for v in range(len(dist))}
 
 
 def is_resolving(g: Graph, s) -> bool:
@@ -52,10 +55,13 @@ def is_resolving(g: Graph, s) -> bool:
     return len(set(vecs.values())) == g.n
 
 
-def _certificate(g: Graph, s: list[int]) -> ResolvingCertificate:
-    vecs = resolving_vectors(g, s)
-    ok = len(set(vecs.values())) == g.n
-    return ResolvingCertificate(sorted(s), len(s), vecs, ok)
+def _certificate(dist: list[list[int]], s: list[int]) -> ResolvingCertificate:
+    """Rebuild every resolving vector from the distance matrix and check
+    that they are pairwise distinct."""
+    landmarks = sorted(s)
+    vecs = _vectors(dist, landmarks)
+    ok = len(set(vecs.values())) == len(dist)
+    return ResolvingCertificate(landmarks, len(s), vecs, ok)
 
 
 def _twin_classes(dist: list[list[int]]) -> list[list[int]]:
@@ -108,7 +114,7 @@ def metric_dimension_exact(g: Graph, maxn: int | None = None) -> ResolvingCertif
                 m |= 1 << idx
         masks.append(m)
     chosen = min_cover(len(todo), masks)
-    cert = _certificate(g, sorted(set(preselected) | set(chosen)))
+    cert = _certificate(dist, sorted(set(preselected) | set(chosen)))
     assert cert.verified
     return cert
 
@@ -124,10 +130,10 @@ def tree_metric_dimension(t: Graph) -> ResolvingCertificate:
     if not is_tree(t):
         raise DomainError("tree_metric_dimension needs a tree")
     if t.n == 1:
-        return _certificate(t, [])
+        return _certificate(all_distances(t), [])
     if all(t.degree(v) <= 2 for v in range(t.n)):
         endpoint = min(v for v in range(t.n) if t.degree(v) == 1)
-        return _certificate(t, [endpoint])
+        return _certificate(all_distances(t), [endpoint])
 
     # walk from each leaf through degree-2 vertices to its major vertex
     legs_of: dict[int, list[int]] = {}
@@ -145,7 +151,7 @@ def tree_metric_dimension(t: Graph) -> ResolvingCertificate:
         witness.extend(sorted(legs_of[major])[:-1])
     nleaves = sum(1 for v in range(t.n) if t.degree(v) == 1)
     assert len(witness) == nleaves - len(legs_of)
-    cert = _certificate(t, sorted(witness))
+    cert = _certificate(all_distances(t), sorted(witness))
     assert cert.verified
     return cert
 

@@ -362,3 +362,76 @@ def random_hypergraph(rng, nverts, nedges):
     from metriclab.hypergraphs import Hypergraph
 
     return Hypergraph(nverts, [rng.getrandbits(nverts) for _ in range(nedges)])
+
+
+# ---------------------------------------------------------------------------
+# VC dimension by a levelwise search that tests every candidate on its own:
+# the reference for the exact witness (first set of the last level, first
+# realizing edge slot per trace) of vc_dimension and vc2_dimension
+
+
+def _shatter_assignment(h, xmask):
+    """submask -> first realizing edge slot if xmask is shattered, else None."""
+    found = {}
+    for i, e in enumerate(h.edges):
+        t = e & xmask
+        if t not in found:
+            found[t] = i
+    if len(found) != 1 << xmask.bit_count():
+        return None
+    return found
+
+
+def _two_shatter_assignment(h, xmask):
+    """pairmask -> first realizing edge slot if every pair is an exact trace."""
+    found = {}
+    verts = list(iter_bits(xmask))
+    for a, b in itertools.combinations(verts, 2):
+        want = (1 << a) | (1 << b)
+        for i, e in enumerate(h.edges):
+            if e & xmask == want:
+                found[want] = i
+                break
+        else:
+            return None
+    return found
+
+
+def _levelwise(h, level, assignment):
+    best_mask = level[0]
+    while True:
+        nxt = []
+        for xmask in level:
+            for v in range(xmask.bit_length(), h.nverts):
+                cand = xmask | 1 << v
+                if assignment(h, cand) is not None:
+                    nxt.append(cand)
+        if not nxt:
+            break
+        level = nxt
+        best_mask = level[0]
+    assign = assignment(h, best_mask)
+    witness = {
+        "vertices": list(iter_bits(best_mask)),
+        "assignment": [
+            {"subset": list(sub), "edge": i}
+            for sub, i in sorted(
+                (tuple(iter_bits(sub)), i) for sub, i in assign.items()
+            )
+        ],
+    }
+    return best_mask.bit_count(), witness
+
+
+def levelwise_vc(h):
+    """(vc, witness JSON), or (0, None) when h has no edges."""
+    if not h.edges:
+        return 0, None
+    return _levelwise(h, [0], _shatter_assignment)
+
+
+def levelwise_vc2(h):
+    """(vc2, witness JSON); (0, empty witness) when h has no vertices."""
+    if h.nverts == 0:
+        return 0, {"vertices": [], "assignment": []}
+    return _levelwise(h, [1 << v for v in range(h.nverts)], _two_shatter_assignment)

@@ -244,6 +244,20 @@ def test_hyper_tc_config_reads_the_test_cover_cap(cli, tmp_path):
     assert code == 3 and out == "" and "cap 24" in err
 
 
+def test_hyper_prop9_caps_the_dual_search_by_default(cli, tmp_path):
+    # 25 singleton edges: the dual has 25 vertices, one over the vc_n cap
+    text = "p hyper 25 25\n" + "\n".join(str(i) for i in range(25)) + "\n"
+    code, out, err = cli(["hyper", "prop9"], stdin_text=text)
+    assert code == 3 and out == "" and "cap 24" in err
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("minor_n = 14\n")
+    code, out, err = cli(["hyper", "prop9", "--config", str(cfg)], stdin_text=text)
+    assert code == 3 and out == "" and "cap 24" in err
+    code, out, err = cli(["hyper", "prop9", "--maxn", "25"], stdin_text=text)
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "p hyper 1 2"
+
+
 def test_oversized_inputs_exit_before_allocating(cli):
     code, out, err = cli(["solve", "md"], stdin_text="0 1000000000\n")
     assert code == 3 and out == "" and "cap" in err

@@ -6,6 +6,7 @@ import pytest
 
 from metriclab.errors import DomainError, FormatError, TooLargeError
 from metriclab.enumeration import enumerate_connected_graphs
+from metriclab.extremal import gen_line_example
 from metriclab.graphs import (
     MAX_VERTICES,
     Graph,
@@ -173,6 +174,38 @@ def test_vc_cap():
     assert vc_dimension(h, maxn=25)[0] == 1
     with pytest.raises(TooLargeError):
         vc2_dimension(h)
+
+
+def _assert_same_witnesses(h):
+    k, wit = vc_dimension(h, maxn=128)
+    assert (k, wit and wit.to_json()) == oracles.levelwise_vc(h)
+    k2, wit2 = vc2_dimension(h, maxn=128)
+    assert (k2, wit2.to_json()) == oracles.levelwise_vc2(h)
+
+
+def test_witnesses_match_candidate_by_candidate_search():
+    # the whole (k, witness) of both searches, not just k, against a
+    # levelwise search that tests every candidate X | {v} on its own
+    for g in enumerate_connected_graphs(6):
+        h = distance_hypergraph(g)
+        _assert_same_witnesses(h)
+        _assert_same_witnesses(dual(h))
+        for r in range(max(map(max, oracles.fw_distances(g))) + 1):
+            _assert_same_witnesses(distance_hypergraph_fixed_radius(g, r))
+    for k in (2, 3):
+        g, _ = gen_line_example(k)
+        _assert_same_witnesses(distance_hypergraph_fixed_radius(g, 1))
+    rng = random.Random(4242)
+    for i in range(500):
+        n = rng.randrange(0, 11)
+        # a small pool of edge sets, always with the empty edge, forces
+        # repeated and empty edges
+        pool = [0] + [rng.getrandbits(n) for _ in range(rng.randrange(1, 8))]
+        if i % 2:
+            edges = [rng.choice(pool) for _ in range(rng.randrange(0, 41))]
+        else:
+            edges = [rng.getrandbits(n) for _ in range(rng.randrange(0, 41))]
+        _assert_same_witnesses(Hypergraph(n, edges))
 
 
 def test_sauer_shelah_on_random_traces():

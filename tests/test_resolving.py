@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import metriclab.graphs
 from metriclab.errors import DomainError, TooLargeError
 from metriclab.graphs import (
     Graph,
@@ -94,6 +95,23 @@ def test_certificate_contents():
     assert len(set(cert.vectors.values())) == 4
     js = cert.to_json()
     assert js == {"schema": 1, "set": cert.vertices, "dimension": 1, "verified": True}
+
+
+def test_solver_computes_the_distance_matrix_once(monkeypatch):
+    calls = []
+    real = metriclab.graphs.bfs_distances
+
+    def counting(g, source):
+        calls.append(source)
+        return real(g, source)
+
+    monkeypatch.setattr(metriclab.graphs, "bfs_distances", counting)
+    cert = metric_dimension_exact(path_graph(10))
+    assert cert.verified and cert.vertices == [0]
+    assert cert.vectors == {v: (v,) for v in range(10)}
+    # one connectivity sweep plus one sweep per vertex for the matrix,
+    # which the certificate reuses
+    assert len(calls) <= 11
 
 
 def test_solver_deterministic():
