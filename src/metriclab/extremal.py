@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .config import enforce_cap
-from .errors import DomainError
-from .graphs import Graph
+from .errors import DomainError, TooLargeError
+from .graphs import MAX_VERTICES, Graph
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,19 @@ class ExtremalSpec:
             "resolving_set": list(self.resolving_set),
             "notes": self.notes,
         }
+
+
+def _refuse_order(order: int, name: str) -> None:
+    """Raise before building a member that graph6 could not encode."""
+    if order > MAX_VERTICES:
+        raise TooLargeError(f"{name}: order {order} exceeds the graph6 limit of {MAX_VERTICES}")
+
+
+def hs_order(d: int, k: int) -> int:
+    """Order of the spider-of-combs trees HS(d, k), whatever the odd-d split."""
+    if d % 2 == 0:
+        return (k * d + 4) * (d + 2) // 8
+    return (k * d - k + 8) * (d + 1) // 8
 
 
 def _grow_path(g: Graph, at: int, steps: int) -> int:
@@ -68,6 +81,7 @@ def gen_l(r: int) -> Graph:
     """The comb tree on 1 + r + r(r-1)/2 vertices, root labeled."""
     if r < 1:
         raise DomainError("gen_l needs r >= 1")
+    _refuse_order(1 + r + r * (r - 1) // 2, "gen_l")
     g = Graph(1)
     g.labels[0] = "root"
     _graft_comb(g, 0, r)
@@ -90,16 +104,6 @@ def gen_hs(d: int, k: int, a: int | None = None) -> tuple[Graph, ExtremalSpec]:
             raise DomainError("gen_hs needs d >= 2")
         if a is not None:
             raise DomainError("a applies only to odd d")
-        r = d // 2
-        g = Graph(1)
-        g.labels[0] = "root"
-        witness = []
-        for _ in range(k):
-            witness.append(_graft_comb(g, 0, r))
-        _grow_path(g, 0, r)
-        order = (k * d + 4) * (d + 2) // 8
-        md = k
-        family, params = "HS_even", {"d": d, "k": k}
     else:
         if d < 3:
             raise DomainError("gen_hs needs d >= 2")
@@ -107,6 +111,19 @@ def gen_hs(d: int, k: int, a: int | None = None) -> tuple[Graph, ExtremalSpec]:
             raise DomainError("odd d needs the split parameter a")
         if not 0 <= a <= k:
             raise DomainError("need 0 <= a <= k")
+    order = hs_order(d, k)
+    _refuse_order(order, "gen_hs")
+    if d % 2 == 0:
+        r = d // 2
+        g = Graph(1)
+        g.labels[0] = "root"
+        witness = []
+        for _ in range(k):
+            witness.append(_graft_comb(g, 0, r))
+        _grow_path(g, 0, r)
+        md = k
+        family, params = "HS_even", {"d": d, "k": k}
+    else:
         r = (d - 1) // 2
         g = Graph(2)
         g.add_edge(0, 1)
@@ -122,7 +139,6 @@ def gen_hs(d: int, k: int, a: int | None = None) -> tuple[Graph, ExtremalSpec]:
             witness.append(u_tail)
         elif a == k:
             witness.append(w_tail)
-        order = (k * d - k + 8) * (d + 1) // 8
         md = k if 0 < a < k else k + 1
         family, params = "HS_odd", {"d": d, "k": k, "a": a}
     for j, v in enumerate(witness):
@@ -175,6 +191,12 @@ def gen_o(d: int, k: int, with_chords: bool = False) -> tuple[Graph, ExtremalSpe
     """
     if d < 2 or k < 2:
         raise DomainError("gen_o needs d >= 2 and k >= 2")
+    if d % 2 == 0:
+        order = (d + 2) // 2 + k * (2 * (d // 2) * (d // 2 + 1) // 2 - 1)
+    else:
+        half = (d - 1) // 2
+        order = (3 * d + 3) // 2 + k * (2 * half * (half + 1) // 2 - 1)
+    _refuse_order(order, "gen_o")
     g = Graph(1)
     g.labels[0] = "root"
     small = d // 2 - 1 if d % 2 == 0 else (d - 1) // 2 - 1
@@ -184,11 +206,6 @@ def gen_o(d: int, k: int, with_chords: bool = False) -> tuple[Graph, ExtremalSpe
         deep = d % 2 == 1 and pos == k - 1
         witness.append(_graft_lobe(g, 0, i, with_chords, deep))
     _grow_path(g, 0, d // 2)
-    if d % 2 == 0:
-        order = (d + 2) // 2 + k * (2 * (d // 2) * (d // 2 + 1) // 2 - 1)
-    else:
-        half = (d - 1) // 2
-        order = (3 * d + 3) // 2 + k * (2 * half * (half + 1) // 2 - 1)
     for j, v in enumerate(witness):
         g.labels[v] = f"S{j}"
     spec = ExtremalSpec(
@@ -207,7 +224,8 @@ def gen_grid_chain(t: int) -> tuple[Graph, ExtremalSpec]:
     corners. Order t^3; the labeled 3-set resolves the whole chain."""
     if t < 2:
         raise DomainError("gen_grid_chain needs t >= 2")
-    g = Graph(t * t * t)
+    _refuse_order(t**3, "gen_grid_chain")
+    g = Graph(t**3)
 
     def vid(copy, r, col):
         return copy * t * t + r * t + col
@@ -228,7 +246,7 @@ def gen_grid_chain(t: int) -> tuple[Graph, ExtremalSpec]:
     spec = ExtremalSpec(
         "grid_chain",
         {"t": t},
-        t ** 3,
+        t**3,
         4 * (t - 1),
         None,
         s,
@@ -248,6 +266,8 @@ def gen_line_example(k: int, maxk: int | None = None) -> tuple[Graph, ExtremalSp
     if k < 2:
         raise DomainError("gen_line_example needs k >= 2")
     enforce_cap(k, maxk, "line_k", "gen_line_example: k={n} exceeds cap {cap}")
+    order = k + (1 << k) - 1 + sum(i * comb(k, i) for i in range(1, k + 1))
+    _refuse_order(order, "gen_line_example")
     root_edges = []
     nverts = 0
 
@@ -279,7 +299,6 @@ def gen_line_example(k: int, maxk: int | None = None) -> tuple[Graph, ExtremalSp
     s = tuple(range(k))
     for j in s:
         g.labels[j] = f"S{j}"
-    order = k + (1 << k) - 1 + sum(i * comb(k, i) for i in range(1, k + 1))
     spec = ExtremalSpec(
         "line_example",
         {"k": k},

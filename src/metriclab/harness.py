@@ -5,6 +5,15 @@ measurement against the declared inequality or prediction, and returns a
 SuiteReport whose failures pin exact witnesses. For a fixed configuration
 the report is identical run to run apart from the elapsed field.
 
+Every claim of every suite goes through one collector, ``_Checks``, which
+run_suite hands to the suite. ``claim`` builds the failure row (instance,
+claim, measured, bound, witness; measured and bound through ``str``) only
+when the claim does not hold, and run_suite sorts the rows once by
+(instance, claim). ``ratio`` tracks n / bound for the suites that bound the
+order: an instance replaces the current maximum only with a strictly larger
+ratio, so the first instance to reach it wins; it is reported as
+max_ratio (six decimals) and max_ratio_instance.
+
 Connected-graph pools beyond the built-in enumeration (n > 7) must come
 from an ingested graph6 corpus file; the harness refuses to sample rather
 than silently shrinking a sweep.
@@ -13,18 +22,19 @@ than silently shrinking a sweep.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bounds import bound_outerplanar, bound_tc_vc, bound_tree, bound_treedec
 from .enumeration import enumerate_connected_graphs, enumerate_trees, free_tree_key
 from .errors import DomainError, FormatError
-from .extremal import gen_grid_chain, gen_hs, gen_l, gen_line_example, gen_o
-from .graphs import Graph, diameter, is_chordal, is_connected, parse_graph6, to_graph6
+from .extremal import gen_grid_chain, gen_hs, gen_l, gen_line_example, gen_o, hs_order
+from .graphs import Graph, diameter, is_chordal, is_connected, is_tree, parse_graph6, to_graph6
 from .hypergraphs import (
     Hypergraph,
     distance_hypergraph,
@@ -56,13 +66,7 @@ class Failure:
     witness: str
 
     def to_json(self) -> dict:
-        return {
-            "instance": self.instance,
-            "claim": self.claim,
-            "measured": self.measured,
-            "bound": self.bound,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -126,6 +130,29 @@ class SuiteReport:
         return buf.getvalue()
 
 
+class _Checks:
+    """The failure collector every suite reports its claims through."""
+
+    def __init__(self) -> None:
+        self.failures: list[Failure] = []
+        self._ratio, self._ratio_instance = 0.0, ""
+
+    def claim(self, holds, instance, claim, measured, bound, witness="") -> None:
+        """Record a failure unless the claim holds. A Graph instance is named
+        by its graph6 code, encoded only when the claim fails."""
+        if not holds:
+            name = to_graph6(instance) if isinstance(instance, Graph) else instance
+            failure = Failure(name, claim, str(measured), str(bound), witness)
+            self.failures.append(failure)
+
+    def ratio(self, instance: str, n: int, bound: int) -> None:
+        if n / bound > self._ratio:
+            self._ratio, self._ratio_instance = n / bound, instance
+
+    def max_ratio(self) -> dict:
+        return {"max_ratio": f"{self._ratio:.6f}", "max_ratio_instance": self._ratio_instance}
+
+
 # ---------------------------------------------------------------------------
 # instance pools
 
@@ -167,51 +194,51 @@ def _md(g: Graph) -> int:
     return metric_dimension_exact(g, maxn=SOLVER_CAP).dimension
 
 
+def _with_corpus(config: dict, corpus: str | None) -> dict:
+    if corpus is not None:
+        config["corpus"] = corpus
+    return config
+
+
 # ---------------------------------------------------------------------------
 # tree suites
 
 
-def _suite_tree_bound(nmax, seed, corpus):
+def _suite_tree_bound(checks, nmax, seed, corpus):
     nmax = 12 if nmax is None else nmax
     pool = list(enumerate_trees(nmax))
-    failures = []
-    best_ratio, best_id = 0.0, ""
     for t in pool:
         d = diameter(t)
         k = tree_metric_dimension(t).dimension
         b = bound_tree(d, k)
         gid = to_graph6(t)
-        if t.n > b:
-            failures.append(
-                Failure(gid, "n <= tree bound", str(t.n), str(b), f"d={d} k={k}")
-            )
-        if t.n / b > best_ratio:
-            best_ratio, best_id = t.n / b, gid
-    extras = {"max_ratio": f"{best_ratio:.6f}", "max_ratio_instance": best_id}
-    return len(pool), failures, {"nmax": nmax}, extras
+        checks.claim(t.n <= b, gid, "n <= tree bound", t.n, b, f"d={d} k={k}")
+        checks.ratio(gid, t.n, b)
+    return len(pool), {"nmax": nmax}, checks.max_ratio()
+
+
+def _hs_tag(d, k, a):
+    return f"HS(d={d},k={k}" + (f",a={a})" if a is not None else ")")
+
+
+def _hs_splits(d, k):
+    """The odd-d splits a of the comb-tree assemblies of dimension k."""
+    return [None] if d % 2 == 0 else range(1, k)
 
 
 def _comb_tree_pool(nmax):
     """Every comb-tree assembly with order <= nmax and dimension >= 2."""
     for d in range(2, nmax + 1):
         for k in range(2, nmax + 1):
-            if d % 2 == 0:
-                order = (k * d + 4) * (d + 2) // 8
-                if order > nmax:
-                    break
-                yield d, k, None, gen_hs(d, k)[0]
-            else:
-                order = (k * d - k + 8) * (d + 1) // 8
-                if order > nmax:
-                    break
-                for a in range(1, k):
-                    yield d, k, a, gen_hs(d, k, a)[0]
+            if hs_order(d, k) > nmax:
+                break
+            for a in _hs_splits(d, k):
+                yield d, k, a, gen_hs(d, k, a)[0]
 
 
-def _suite_tree_equality(nmax, seed, corpus):
+def _suite_tree_equality(checks, nmax, seed, corpus):
     nmax = 12 if nmax is None else nmax
     pool = list(enumerate_trees(nmax))
-    failures = []
     equality = []
     low_dim = 0
     for t in pool:
@@ -226,114 +253,76 @@ def _suite_tree_equality(nmax, seed, corpus):
             continue
         equality.append((t, d, k))
 
-    generator_keys: dict[tuple[int, int], set] = {}
-
+    @functools.cache
     def keys_for(d, k):
-        if (d, k) not in generator_keys:
-            found = set()
-            if d % 2 == 0:
-                found.add(free_tree_key(gen_hs(d, k)[0]))
-            else:
-                for a in range(1, k):
-                    found.add(free_tree_key(gen_hs(d, k, a)[0]))
-            generator_keys[(d, k)] = found
-        return generator_keys[(d, k)]
+        return {free_tree_key(gen_hs(d, k, a)[0]) for a in _hs_splits(d, k)}
 
     equality_keys = set()
     for t, d, k in equality:
         key = free_tree_key(t)
         equality_keys.add(key)
-        if key not in keys_for(d, k):
-            failures.append(
-                Failure(
-                    to_graph6(t),
-                    "equality tree is a comb-tree assembly",
-                    f"n={t.n}",
-                    f"d={d} k={k}",
-                    "matches no generator output",
-                )
-            )
+        claim = "equality tree is a comb-tree assembly"
+        no_match = "matches no generator output"
+        checks.claim(key in keys_for(d, k), t, claim, f"n={t.n}", f"d={d} k={k}", no_match)
 
     params = 0
     for d, k, a, g in _comb_tree_pool(nmax):
         params += 1
-        tag = f"HS(d={d},k={k}" + (f",a={a})" if a is not None else ")")
+        tag, gid = _hs_tag(d, k, a), to_graph6(g)
         kd = tree_metric_dimension(g).dimension
-        if kd != k:
-            failures.append(
-                Failure(tag, "generator dimension matches", str(kd), str(k), to_graph6(g))
-            )
-        elif free_tree_key(g) not in equality_keys:
-            failures.append(
-                Failure(
-                    tag,
-                    "generator attains the bound",
-                    f"n={g.n}",
-                    str(bound_tree(d, k)),
-                    to_graph6(g),
-                )
-            )
+        checks.claim(kd == k, tag, "generator dimension matches", kd, k, gid)
+        attained = kd != k or free_tree_key(g) in equality_keys
+        b = bound_tree(d, k)
+        checks.claim(attained, tag, "generator attains the bound", f"n={g.n}", b, gid)
     extras = {
         "equality_instances": len(equality),
         "low_dimension_equalities": low_dim,
         "generator_params_checked": params,
     }
-    return len(pool), failures, {"nmax": nmax}, extras
+    return len(pool), {"nmax": nmax}, extras
 
 
 # ---------------------------------------------------------------------------
 # distance-hypergraph suites
 
 
-def _suite_mdvstc(nmax, seed, corpus):
+def _suite_mdvstc(checks, nmax, seed, corpus):
     nmax = 7 if nmax is None else nmax
     pool = _connected_pool(nmax, corpus)
-    failures = []
     gap, gap_id = -1, ""
     for g in pool:
         gid = to_graph6(g)
         d = diameter(g)
         k = _md(g)
         tc = len(min_test_cover(distance_hypergraph(g), maxn=SOLVER_CAP))
-        if k > tc:
-            failures.append(Failure(gid, "md <= TC", str(k), str(tc), f"d={d}"))
+        checks.claim(k <= tc, gid, "md <= TC", k, tc, f"d={d}")
         # multiplied form of (TC-1)/d <= md, exact in integers and safe at d=0
-        if tc - 1 > k * d:
-            failures.append(
-                Failure(gid, "TC - 1 <= md * diameter", str(tc - 1), str(k * d), f"d={d} k={k}")
-            )
+        sandwich = "TC - 1 <= md * diameter"
+        checks.claim(tc - 1 <= k * d, gid, sandwich, tc - 1, k * d, f"d={d} k={k}")
         if tc - k > gap:
             gap, gap_id = tc - k, gid
     config = _with_corpus({"nmax": nmax, "solver_cap": SOLVER_CAP}, corpus)
-    return len(pool), failures, config, {"max_tc_minus_md": gap, "max_gap_instance": gap_id}
+    return len(pool), config, {"max_tc_minus_md": gap, "max_gap_instance": gap_id}
 
 
-def _suite_prop8(nmax, seed, corpus):
+def _suite_prop8(checks, nmax, seed, corpus):
     nmax = 7 if nmax is None else nmax
     pool = _connected_pool(nmax, corpus)
-    failures = []
-    best_ratio, best_id = 0.0, ""
     for g in pool:
         gid = to_graph6(g)
         h = distance_hypergraph(g)
         tc = len(min_test_cover(h, maxn=SOLVER_CAP))
         vcstar = vc_dimension(dual(h), maxn=SOLVER_CAP)[0]
         b = bound_tc_vc(tc, vcstar)
-        if g.n > b:
-            failures.append(
-                Failure(gid, "n <= TC^vc* + 1", str(g.n), str(b), f"tc={tc} vc*={vcstar}")
-            )
-        if g.n / b > best_ratio:
-            best_ratio, best_id = g.n / b, gid
+        checks.claim(g.n <= b, gid, "n <= TC^vc* + 1", g.n, b, f"tc={tc} vc*={vcstar}")
+        checks.ratio(gid, g.n, b)
     config = _with_corpus({"nmax": nmax, "solver_cap": SOLVER_CAP}, corpus)
-    extras = {"max_ratio": f"{best_ratio:.6f}", "max_ratio_instance": best_id}
-    return len(pool), failures, config, extras
+    return len(pool), config, checks.max_ratio()
 
 
-def _suite_prop10(nmax, seed, corpus):
+def _suite_prop10(checks, nmax, seed, corpus):
     nmax = 7 if nmax is None else nmax
     pool = _connected_pool(nmax, corpus)
-    failures = []
     checked = 0
     repaired_failures = 0
     for g in pool:
@@ -346,20 +335,9 @@ def _suite_prop10(nmax, seed, corpus):
         d = diameter(g)
         dstar = vc_dimension(dual(h), maxn=SOLVER_CAP)[0]
         left = (dvc - math.log2(d)) / math.log2(dvc)
-        if left > dstar + 1e-9:
-            failures.append(
-                Failure(
-                    gid,
-                    "(dvc - log2 d)/log2 dvc <= dvc*",
-                    f"{left:.9f}",
-                    str(dstar),
-                    f"d={d} dvc={dvc}",
-                )
-            )
-        if dstar > d * dvc:
-            failures.append(
-                Failure(gid, "dvc* <= diameter * dvc", str(dstar), str(d * dvc), f"dvc={dvc}")
-            )
+        quoted = "(dvc - log2 d)/log2 dvc <= dvc*"
+        checks.claim(left <= dstar + 1e-9, gid, quoted, f"{left:.9f}", dstar, f"d={d} dvc={dvc}")
+        checks.claim(dstar <= d * dvc, gid, "dvc* <= diameter * dvc", dstar, d * dvc, f"dvc={dvc}")
         repaired_arg = 2.0**dvc / (d + 1) - 1
         if repaired_arg > 0 and math.log2(repaired_arg) / math.log2(dvc) > dstar + 1e-9:
             repaired_failures += 1
@@ -373,15 +351,14 @@ def _suite_prop10(nmax, seed, corpus):
             "form log2(2^dvc/(d+1) - 1)/log2(dvc) <= dvc* is tallied alongside"
         ),
     }
-    return checked, failures, config, extras
+    return checked, config, extras
 
 
-def _suite_sauer_shelah(nmax, seed, corpus):
+def _suite_sauer_shelah(checks, nmax, seed, corpus):
     nmax = 12 if nmax is None else nmax
     seed = 1729 if seed is None else seed
     count, x_per = 500, 20
     rng = random.Random(seed)
-    failures = []
     for i in range(count):
         nverts = rng.randint(1, nmax)
         nedges = rng.randint(1, 2 * nverts)
@@ -394,93 +371,61 @@ def _suite_sauer_shelah(nmax, seed, corpus):
             xs = [v for v in range(nverts) if xmask >> v & 1]
             distinct = len(trace(h, xs).edges)
             allowed = len(xs) ** vcd + 1
-            if distinct > allowed:
-                failures.append(
-                    Failure(
-                        f"case{i:03d}.x{j:02d}",
-                        "distinct traces <= |X|^vc + 1",
-                        str(distinct),
-                        str(allowed),
-                        f"seed={seed} nverts={nverts} x={xmask:#x}",
-                    )
-                )
+            case, witness = f"case{i:03d}.x{j:02d}", f"seed={seed} nverts={nverts} x={xmask:#x}"
+            claim = "distinct traces <= |X|^vc + 1"
+            checks.claim(distinct <= allowed, case, claim, distinct, allowed, witness)
     config = {"count": count, "x_per_instance": x_per, "nmax": nmax, "seed": seed}
-    return count, failures, config, {}
+    return count, config, {}
 
 
-def _suite_thm14_minor(nmax, seed, corpus):
+def _suite_thm14_minor(checks, nmax, seed, corpus):
     nmax = 7 if nmax is None else nmax
     pool = _connected_pool(nmax, corpus)
-    failures = []
     hist: dict[int, int] = {}
     for g in pool:
         t = dual_distance_2vc(g, maxn=SOLVER_CAP)
         hist[t] = hist.get(t, 0) + 1
         t_cap = min(t, 5)
-        if not has_clique_minor(g, t_cap):
-            failures.append(
-                Failure(
-                    to_graph6(g),
-                    "dual 2-vc forces a clique minor",
-                    f"no K_{t_cap} minor",
-                    f"d2vc={t}",
-                    "",
-                )
-            )
+        claim = "dual 2-vc forces a clique minor"
+        checks.claim(has_clique_minor(g, t_cap), g, claim, f"no K_{t_cap} minor", f"d2vc={t}")
     config = _with_corpus({"nmax": nmax, "clique_order_cap": 5}, corpus)
     extras = {"d2vc_histogram": {str(v): hist[v] for v in sorted(hist)}}
-    return len(pool), failures, config, extras
+    return len(pool), config, extras
 
 
 # ---------------------------------------------------------------------------
 # structural bound suites
 
 
-def _suite_outerplanar_bound(nmax, seed, corpus):
+def _o_family(ks):
+    """(tag, graph, spec) of the outerplanar family O(d, k), d = 2..8, k in ks."""
+    for d in range(2, 9):
+        for k in ks:
+            for chords in (False, True):
+                yield f"O(d={d},k={k},chords={int(chords)})", *gen_o(d, k, with_chords=chords)
+
+
+def _suite_outerplanar_bound(checks, nmax, seed, corpus):
     nmax = 7 if nmax is None else nmax
-    failures = []
-    best_ratio, best_id = 0.0, ""
-    pool = [g for g in _connected_pool(nmax, corpus) if is_outerplanar(g)]
-    for g in pool:
-        gid = to_graph6(g)
+    pool = [(to_graph6(g), g) for g in _connected_pool(nmax, corpus) if is_outerplanar(g)]
+    members = pool + [(tag, g) for tag, g, _ in _o_family(range(2, 5))]
+    for gid, g in members:
         d = max(diameter(g), 1)
         k = max(_md(g), 1)
         b = bound_outerplanar(d, k)
-        if g.n > b:
-            failures.append(
-                Failure(gid, "order <= outerplanar bound", str(g.n), str(b), f"d={d} k={k}")
-            )
-        if g.n / b > best_ratio:
-            best_ratio, best_id = g.n / b, gid
-    cases = 0
-    for d in range(2, 9):
-        for k in range(2, 5):
-            for chords in (False, True):
-                cases += 1
-                g, _ = gen_o(d, k, with_chords=chords)
-                tag = f"O(d={d},k={k},chords={int(chords)})"
-                dm, km = diameter(g), _md(g)
-                b = bound_outerplanar(max(dm, 1), max(km, 1))
-                if g.n > b:
-                    failures.append(
-                        Failure(tag, "order <= outerplanar bound", str(g.n), str(b), f"d={dm} k={km}")
-                    )
-                if g.n / b > best_ratio:
-                    best_ratio, best_id = g.n / b, tag
+        checks.claim(g.n <= b, gid, "order <= outerplanar bound", g.n, b, f"d={d} k={k}")
+        checks.ratio(gid, g.n, b)
     config = _with_corpus(
         {"nmax": nmax, "generated_d": "2..8", "generated_k": "2..4", "solver_cap": SOLVER_CAP},
         corpus,
     )
-    extras = {"max_ratio": f"{best_ratio:.6f}", "max_ratio_instance": best_id}
-    return len(pool) + cases, failures, config, extras
+    return len(members), config, checks.max_ratio()
 
 
-def _suite_treedec_bound(nmax, seed, corpus):
+def _suite_treedec_bound(checks, nmax, seed, corpus):
     nmax = 7 if nmax is None else nmax
     pool = _connected_pool(nmax, corpus)
-    failures = []
     chordal_count = 0
-    best_ratio, best_id = 0.0, ""
     for g in pool:
         gid = to_graph6(g)
         if is_chordal(g):
@@ -493,196 +438,131 @@ def _suite_treedec_bound(nmax, seed, corpus):
         d = max(diameter(g), 1)
         k = max(_md(g), 1)
         b = bound_treedec(d, k, max(w, 1), ell)
-        if g.n > b:
-            failures.append(
-                Failure(
-                    gid,
-                    "n <= decomposition bound",
-                    str(g.n),
-                    str(b),
-                    f"d={d} k={k} w={w} len={ell}",
-                )
-            )
-        if g.n / b > best_ratio:
-            best_ratio, best_id = g.n / b, gid
+        witness = f"d={d} k={k} w={w} len={ell}"
+        checks.claim(g.n <= b, gid, "n <= decomposition bound", g.n, b, witness)
+        checks.ratio(gid, g.n, b)
     config = _with_corpus(
         {"nmax": nmax, "decomposition": "clique tree when chordal, else exact treewidth, reduced"},
         corpus,
     )
-    extras = {
-        "chordal_instances": chordal_count,
-        "max_ratio": f"{best_ratio:.6f}",
-        "max_ratio_instance": best_id,
-    }
-    return len(pool), failures, config, extras
+    return len(pool), config, {"chordal_instances": chordal_count, **checks.max_ratio()}
 
 
-def _suite_chordal_obs(nmax, seed, corpus):
+def _suite_chordal_obs(checks, nmax, seed, corpus):
     nmax = 7 if nmax is None else nmax
     pool = [g for g in _connected_pool(nmax, corpus) if is_chordal(g)]
-    failures = []
     max_w = 0
     for g in pool:
         w = width(clique_tree(g))
         k = _md(g)
         max_w = max(max_w, w)
-        if w > 3**k:
-            failures.append(
-                Failure(to_graph6(g), "treewidth <= 3^md", str(w), str(3**k), f"k={k}")
-            )
+        checks.claim(w <= 3**k, g, "treewidth <= 3^md", w, 3**k, f"k={k}")
     config = _with_corpus({"nmax": nmax, "solver_cap": SOLVER_CAP}, corpus)
-    return len(pool), failures, config, {"max_width": max_w}
+    return len(pool), config, {"max_width": max_w}
 
 
 # ---------------------------------------------------------------------------
 # generator suites
 
 
-def _check_prediction(tag, g, spec, failures):
-    if g.n != spec.order:
-        failures.append(
-            Failure(tag, "order matches prediction", str(g.n), str(spec.order), "")
-        )
+def _check_prediction(checks, tag, g, spec):
+    checks.claim(g.n == spec.order, tag, "order matches prediction", g.n, spec.order)
     dm = diameter(g)
-    if dm != spec.diameter:
-        failures.append(
-            Failure(tag, "diameter matches prediction", str(dm), str(spec.diameter), "")
-        )
-    if not is_resolving(g, spec.resolving_set):
-        failures.append(
-            Failure(tag, "declared set resolves", "not resolving", f"|S|={len(spec.resolving_set)}", "")
-        )
+    checks.claim(dm == spec.diameter, tag, "diameter matches prediction", dm, spec.diameter)
+    size = len(spec.resolving_set)
+    resolves = is_resolving(g, spec.resolving_set)
+    checks.claim(resolves, tag, "declared set resolves", "not resolving", f"|S|={size}")
     if spec.metric_dimension is not None:
+        want = spec.metric_dimension
         km = _md(g)
-        if km != spec.metric_dimension:
-            failures.append(
-                Failure(tag, "dimension matches prediction", str(km), str(spec.metric_dimension), "")
-            )
-        if len(spec.resolving_set) != spec.metric_dimension:
-            failures.append(
-                Failure(
-                    tag,
-                    "declared set has minimum size",
-                    str(len(spec.resolving_set)),
-                    str(spec.metric_dimension),
-                    "",
-                )
-            )
+        checks.claim(km == want, tag, "dimension matches prediction", km, want)
+        checks.claim(size == want, tag, "declared set has minimum size", size, want)
 
 
-def _suite_extremal_specs(nmax, seed, corpus):
-    from .graphs import is_tree
-
-    failures = []
+def _suite_extremal_specs(checks, nmax, seed, corpus):
     cases = 0
     for r in range(1, 7):
         cases += 1
         g = gen_l(r)
         want = 1 + r + r * (r - 1) // 2
         tag = f"L(r={r})"
-        if g.n != want:
-            failures.append(Failure(tag, "order matches prediction", str(g.n), str(want), ""))
-        if not is_tree(g):
-            failures.append(Failure(tag, "comb is a tree", "not a tree", "tree", ""))
+        checks.claim(g.n == want, tag, "order matches prediction", g.n, want)
+        checks.claim(is_tree(g), tag, "comb is a tree", "not a tree", "tree")
     for d in range(2, 10):
         for k in (2, 3):
-            variants = [None] if d % 2 == 0 else list(range(0, k + 1))
-            for a in variants:
+            for a in [None] if d % 2 == 0 else range(0, k + 1):
                 cases += 1
                 g, spec = gen_hs(d, k, a)
-                tag = f"HS(d={d},k={k}" + (f",a={a})" if a is not None else ")")
-                _check_prediction(tag, g, spec, failures)
-                if not is_tree(g):
-                    failures.append(Failure(tag, "assembly is a tree", "not a tree", "tree", ""))
-    for d in range(2, 9):
-        for k in (2, 3):
-            for chords in (False, True):
-                cases += 1
-                g, spec = gen_o(d, k, with_chords=chords)
-                tag = f"O(d={d},k={k},chords={int(chords)})"
-                _check_prediction(tag, g, spec, failures)
-                if not is_outerplanar(g):
-                    failures.append(
-                        Failure(tag, "family is outerplanar", "not outerplanar", "outerplanar", "")
-                    )
+                tag = _hs_tag(d, k, a)
+                _check_prediction(checks, tag, g, spec)
+                checks.claim(is_tree(g), tag, "assembly is a tree", "not a tree", "tree")
+    for tag, g, spec in _o_family((2, 3)):
+        cases += 1
+        _check_prediction(checks, tag, g, spec)
+        claim = "family is outerplanar"
+        checks.claim(is_outerplanar(g), tag, claim, "not outerplanar", "outerplanar")
     for t in (2, 3, 4):
         cases += 1
-        g, spec = gen_grid_chain(t)
-        _check_prediction(f"grid_chain(t={t})", g, spec, failures)
+        _check_prediction(checks, f"grid_chain(t={t})", *gen_grid_chain(t))
     for k in (2, 3, 4):
         cases += 1
-        g, spec = gen_line_example(k)
-        _check_prediction(f"line_example(k={k})", g, spec, failures)
+        _check_prediction(checks, f"line_example(k={k})", *gen_line_example(k))
     config = {
         "hs_grid": "d=2..9 k=2..3 with odd-d endpoint variants",
         "o_grid": "d=2..8 k=2..3 both chord settings",
         "solver_cap": SOLVER_CAP,
     }
-    return cases, failures, config, {}
+    return cases, config, {}
 
 
-def _suite_grid_chain(nmax, seed, corpus):
+def _suite_grid_chain(checks, nmax, seed, corpus):
     tmax = 4 if nmax is None else nmax
     if tmax < 2:
         raise DomainError("grid chain sweep needs nmax >= 2")
-    failures = []
     diameters = {}
     for t in range(2, tmax + 1):
         g, spec = gen_grid_chain(t)
         tag = f"grid_chain(t={t})"
-        if g.n != t**3:
-            failures.append(Failure(tag, "order is t^3", str(g.n), str(t**3), ""))
-        if not is_resolving(g, spec.resolving_set):
-            failures.append(
-                Failure(tag, "declared 3-set resolves", "not resolving", "|S|=3", "")
-            )
+        checks.claim(g.n == t**3, tag, "order is t^3", g.n, t**3)
+        resolves = is_resolving(g, spec.resolving_set)
+        checks.claim(resolves, tag, "declared 3-set resolves", "not resolving", "|S|=3")
         diameters[str(t)] = {"measured": diameter(g), "quoted": 4 * t}
     extras = {
         "diameter": diameters,
-        "note": "diameter comparison is informational; the family measures 4(t-1), not the quoted 4t",
+        "note": "diameter comparison is informational; "
+        "the family measures 4(t-1), not the quoted 4t",
     }
-    return tmax - 1, failures, {"tmax": tmax}, extras
+    return tmax - 1, {"tmax": tmax}, extras
 
 
-def _suite_line_example(nmax, seed, corpus):
+def _suite_line_example(checks, nmax, seed, corpus):
     kmax = 5 if nmax is None else nmax
     if kmax < 2:
         raise DomainError("line example sweep needs nmax >= 2")
-    failures = []
     diameters = {}
     for k in range(2, kmax + 1):
         g, spec = gen_line_example(k)
         tag = f"line_example(k={k})"
         want = k + 2**k - 1 + sum(i * math.comb(k, i) for i in range(1, k + 1))
-        if g.n != want:
-            failures.append(Failure(tag, "order matches the formula", str(g.n), str(want), ""))
-        if not is_resolving(g, spec.resolving_set):
-            failures.append(
-                Failure(tag, "pinned-edge set resolves", "not resolving", f"|S|={k}", "")
-            )
+        checks.claim(g.n == want, tag, "order matches the formula", g.n, want)
+        resolves = is_resolving(g, spec.resolving_set)
+        checks.claim(resolves, tag, "pinned-edge set resolves", "not resolving", f"|S|={k}")
         vc1 = vc_dimension(distance_hypergraph_fixed_radius(g, 1), maxn=SOLVER_CAP)[0]
-        if vc1 > 4:
-            failures.append(Failure(tag, "vc of radius-1 balls <= 4", str(vc1), "4", ""))
+        checks.claim(vc1 <= 4, tag, "vc of radius-1 balls <= 4", vc1, 4)
         dm = diameter(g)
         # provably 5 for every k >= 2: subset vertices for disjoint index
         # sets need five hops; the often-quoted 4 is not attained
-        if dm != 5:
-            failures.append(Failure(tag, "diameter is 5", str(dm), "5", ""))
+        checks.claim(dm == 5, tag, "diameter is 5", dm, 5)
         diameters[str(k)] = dm
     extras = {
         "diameter": diameters,
-        "note": "the quoted diameter 4 is not attained; subset vertices with disjoint index sets sit at distance 5",
+        "note": "the quoted diameter 4 is not attained; "
+        "subset vertices with disjoint index sets sit at distance 5",
     }
-    return kmax - 1, failures, {"kmax": kmax, "solver_cap": SOLVER_CAP}, extras
+    return kmax - 1, {"kmax": kmax, "solver_cap": SOLVER_CAP}, extras
 
 
 # ---------------------------------------------------------------------------
-
-
-def _with_corpus(config: dict, corpus: str | None) -> dict:
-    if corpus is not None:
-        config["corpus"] = corpus
-    return config
 
 
 _SUITES = {
@@ -722,7 +602,8 @@ def run_suite(
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; valid: {', '.join(_SUITES)}")
     start = time.perf_counter()
-    instances, failures, config, extras = _SUITES[name](nmax, seed, corpus)
+    checks = _Checks()
+    instances, config, extras = _SUITES[name](checks, nmax, seed, corpus)
     elapsed = time.perf_counter() - start
-    failures.sort(key=lambda f: (f.instance, f.claim))
+    failures = sorted(checks.failures, key=lambda f: (f.instance, f.claim))
     return SuiteReport(name, instances, failures, elapsed, config, extras)

@@ -269,12 +269,12 @@ def vc2_dimension(h: Hypergraph, maxn: int | None = None) -> tuple[int, ShatterW
 # distance hypergraphs
 
 
-def _balls(g: Graph) -> list[list[int]]:
-    """balls[r][v] is the vertex mask of B(v, r), for r = 0..diam(g)."""
-    dist = all_distances(g)
+def _balls(dist: list[list[int]]) -> list[list[int]]:
+    """balls[r][v] is the vertex mask of B(v, r), for r = 0..diam, from the
+    distance matrix of a graph."""
     if not dist or -1 in dist[0]:
         raise DomainError("distance hypergraph needs a connected nonempty graph")
-    balls = [[0] * g.n for _ in range(max(map(max, dist)) + 1)]
+    balls = [[0] * len(dist) for _ in range(max(map(max, dist)) + 1)]
     for v, row in enumerate(dist):
         for u, d in enumerate(row):
             balls[d][v] |= 1 << u  # spheres first, summed up below
@@ -300,14 +300,14 @@ def distance_hypergraph(g: Graph) -> Hypergraph:
     Edge order: radius outer loop, center inner; each kept edge is labeled
     by its first (center, radius) representative.
     """
-    first = _first_centers(_balls(g))
+    first = _first_centers(_balls(all_distances(g)))
     return Hypergraph(g.n, list(first), [f"B({v},{r})" for v, r in first.values()])
 
 
 def distance_hypergraph_fixed_radius(g: Graph, radius: int) -> Hypergraph:
     """One edge per vertex: its ball of the given radius. Never deduplicated,
     so the dual equals the hypergraph itself slot for slot."""
-    balls = _balls(g)
+    balls = _balls(all_distances(g))
     if not 0 <= radius < len(balls):
         raise DomainError(f"radius {radius} outside 0..{len(balls) - 1}")
     return Hypergraph(g.n, balls[radius], [f"B({v},{radius})" for v in range(g.n)])

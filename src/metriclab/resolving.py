@@ -39,11 +39,15 @@ def resolving_vectors(g: Graph, s) -> dict[int, tuple[int, ...]]:
     """Distance vector of every vertex to the landmark list (sorted order)."""
     if not is_connected(g) or g.n == 0:
         raise DomainError("resolving sets are defined for connected nonempty graphs")
+    return _landmark_vectors(all_distances(g), s)
+
+
+def _landmark_vectors(dist: list[list[int]], s) -> dict[int, tuple[int, ...]]:
     landmarks = sorted(set(s))
     for x in landmarks:
-        if not 0 <= x < g.n:
+        if not 0 <= x < len(dist):
             raise DomainError(f"landmark {x} out of range")
-    return _vectors(all_distances(g), landmarks)
+    return _vectors(dist, landmarks)
 
 
 def _vectors(dist: list[list[int]], landmarks: list[int]) -> dict[int, tuple[int, ...]]:
@@ -53,6 +57,13 @@ def _vectors(dist: list[list[int]], landmarks: list[int]) -> dict[int, tuple[int
 def is_resolving(g: Graph, s) -> bool:
     vecs = resolving_vectors(g, s)
     return len(set(vecs.values())) == g.n
+
+
+def _resolves(dist: list[list[int]], s) -> bool:
+    """is_resolving on a graph's distance matrix, with the same refusals."""
+    if not dist or -1 in dist[0]:
+        raise DomainError("resolving sets are defined for connected nonempty graphs")
+    return len(set(_landmark_vectors(dist, s).values())) == len(dist)
 
 
 def _certificate(dist: list[list[int]], s: list[int]) -> ResolvingCertificate:
@@ -164,10 +175,11 @@ def resolving_to_test_cover(g: Graph, s) -> list[int]:
     """Edge slots of distance_hypergraph(g) forming a test cover of size
     at most d*|s| + 1: radii 0..d-1 around each landmark, plus one full-
     diameter ball (anchored at the smallest landmark, or vertex 0)."""
-    if not is_resolving(g, s):
+    dist = all_distances(g)
+    if not _resolves(dist, s):
         raise DomainError("input set is not resolving")
     landmarks = sorted(set(s))
-    balls = _balls(g)
+    balls = _balls(dist)
     edges = list(_first_centers(balls))
     slot = {mask: i for i, mask in enumerate(edges)}
     d = len(balls) - 1
@@ -187,7 +199,8 @@ def resolving_to_test_cover(g: Graph, s) -> list[int]:
 def test_cover_to_resolving(g: Graph, slots) -> list[int]:
     """One center per chosen ball (its first (radius, center) representative);
     a resolving set no larger than the cover."""
-    first = _first_centers(_balls(g))
+    dist = all_distances(g)
+    first = _first_centers(_balls(dist))
     edges = list(first)
     chosen = sorted(set(slots))
     for i in chosen:
@@ -199,5 +212,5 @@ def test_cover_to_resolving(g: Graph, slots) -> list[int]:
     if not (all(sigs) and len(set(sigs)) == g.n):
         raise DomainError("chosen edges are not a test cover")
     out = sorted({first[edges[i]][0] for i in chosen})
-    assert is_resolving(g, out)
+    assert _resolves(dist, out)
     return out

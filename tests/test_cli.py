@@ -263,6 +263,9 @@ def test_oversized_inputs_exit_before_allocating(cli):
     assert code == 3 and out == "" and "cap" in err
     code, out, err = cli(["hyper", "vc"], stdin_text="p hyper 1000000000 0\n")
     assert code == 3 and out == "" and "cap" in err
+    # 64^3 = 262144 vertices: refused before the grid chain is built
+    code, out, err = cli(["gen", "grid-chain", "--t", "64"])
+    assert code == 3 and out == "" and "258047" in err
 
 
 def test_missing_input_file(cli, tmp_path):

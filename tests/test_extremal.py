@@ -8,8 +8,9 @@ from metriclab.extremal import (
     gen_l,
     gen_line_example,
     gen_o,
+    hs_order,
 )
-from metriclab.graphs import all_distances, diameter, is_tree, isomorphic, leaves
+from metriclab.graphs import MAX_VERTICES, all_distances, diameter, is_tree, isomorphic, leaves
 from metriclab.hypergraphs import (
     distance_hypergraph,
     distance_hypergraph_fixed_radius,
@@ -194,3 +195,22 @@ def test_hs_leaf_structure():
     for v in spec.resolving_set:
         assert v in lv
         assert dist[0][v] == 3
+
+
+def test_generators_refuse_orders_past_the_graph6_limit():
+    # the order is computed in closed form and refused before any vertex
+    # is allocated; each parameter is the first one past 258047 vertices
+    assert hs_order(1012, 2) <= MAX_VERTICES < hs_order(1014, 2)
+    assert hs_order(1013, 2) <= MAX_VERTICES < hs_order(1015, 2)
+    for build in (
+        lambda: gen_grid_chain(64),  # 262144 vertices; 63 gives 250047
+        lambda: gen_l(718),  # 258122; 717 gives 257404
+        lambda: gen_hs(1014, 2),  # 258064
+        lambda: gen_hs(1015, 2, 1),  # 258572
+        lambda: gen_o(718, 2),  # 258838; 716 gives 257401
+        lambda: gen_o(10**9, 10**9, with_chords=True),
+        lambda: gen_line_example(15, maxk=15),  # 278542; 14 gives 131085
+    ):
+        with pytest.raises(TooLargeError) as err:
+            build()
+        assert "258047" in str(err.value)

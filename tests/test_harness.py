@@ -11,7 +11,21 @@ from metriclab.errors import DomainError, FormatError
 from metriclab.graphs import Graph, to_graph6
 from metriclab.harness import Failure, SuiteReport, run_suite, suite_names
 
-CORPUS = str(Path(__file__).parent / "data" / "connected8.g6")
+DATA = Path(__file__).parent / "data"
+CORPUS = str(DATA / "connected8.g6")
+# every report's JSON with elapsed zeroed and the corpus path dropped, frozen
+# so that a change to the harness must reproduce each report byte for byte;
+# keys keep their insertion order, which the table rendering follows
+GOLDEN = DATA / "golden_reports.json"
+CONNECTED_SUITES = [
+    "mdvstc_sandwich",
+    "prop8",
+    "prop10",
+    "thm14_minor",
+    "outerplanar_bound",
+    "treedec_bound",
+    "chordal_obs",
+]
 
 EXPECTED_VERDICTS = {
     # suite -> (instances, passes)
@@ -33,18 +47,54 @@ EXPECTED_VERDICTS = {
 }
 
 
+def golden_doc(report: SuiteReport) -> dict:
+    doc = report.to_json()
+    doc["elapsed"] = 0.0
+    doc["config"] = {k: v for k, v in doc["config"].items() if k != "corpus"}
+    return doc
+
+
+def canonical(doc: dict) -> str:
+    return json.dumps(doc, indent=2)
+
+
+def write_shard(path: Path) -> str:
+    """Every 24th graph of the n=8 corpus, starting with the first."""
+    lines = Path(CORPUS).read_text().splitlines()
+    path.write_text("".join(line + "\n" for line in lines[::24]))
+    return str(path)
+
+
+def golden(section: str) -> dict:
+    return json.loads(GOLDEN.read_text())[section]
+
+
 def test_suite_names_fixed():
     assert suite_names() == list(EXPECTED_VERDICTS)
 
 
 def test_default_verdicts_and_instance_counts():
+    frozen = golden("default")
+    assert list(frozen) == list(EXPECTED_VERDICTS)
     for name, (instances, passes) in EXPECTED_VERDICTS.items():
         r = run_suite(name)
+        assert canonical(golden_doc(r)) == canonical(frozen[name]), name
         assert r.suite == name
         assert r.instances == instances, name
         assert r.passed is passes, name
         ids = [(f.instance, f.claim) for f in r.failures]
         assert ids == sorted(ids)
+
+
+def test_connected_suites_on_corpus_shard_match_golden(tmp_path):
+    shard = write_shard(tmp_path / "shard.g6")
+    assert len(Path(shard).read_text().splitlines()) == 464
+    frozen = golden("nmax8_shard")
+    assert list(frozen) == CONNECTED_SUITES
+    for name in CONNECTED_SUITES:
+        r = run_suite(name, nmax=8, corpus=shard)
+        assert r.config["corpus"] == shard
+        assert canonical(golden_doc(r)) == canonical(frozen[name]), name
 
 
 def test_unknown_suite():

@@ -112,6 +112,14 @@ def test_solver_computes_the_distance_matrix_once(monkeypatch):
     # one connectivity sweep plus one sweep per vertex for the matrix,
     # which the certificate reuses
     assert len(calls) <= 11
+    # each converter builds the balls and every resolving check from one
+    # matrix
+    calls.clear()
+    cover = resolving_to_test_cover(path_graph(10), [0])
+    assert len(calls) <= 11
+    calls.clear()
+    assert len(cover_to_resolving(path_graph(10), cover)) <= len(cover)
+    assert len(calls) <= 11
 
 
 def test_solver_deterministic():
