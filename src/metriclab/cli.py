@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .bounds import bound_names, evaluate_bound
 from .config import load_config
-from .errors import DomainError, FormatError, TooLargeError
+from .errors import DomainError, FormatError, InternalError, TooLargeError
 from .extremal import gen_grid_chain, gen_hs, gen_l, gen_line_example, gen_o
 from .graphs import Graph, parse_edge_list, parse_graph6, to_graph6
 from .harness import run_suite, suite_names
@@ -354,6 +354,9 @@ def main(argv: list[str] | None = None) -> int:
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

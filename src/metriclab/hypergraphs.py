@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .config import enforce_cap
-from .errors import DomainError, FormatError, TooLargeError
+from .errors import DomainError, FormatError, InternalError, TooLargeError
 from .graphs import MAX_VERTICES, Graph, all_distances, iter_bits
 from .setcover import min_cover
 
@@ -327,8 +327,9 @@ def min_test_cover(h: Hypergraph, maxn: int | None = None) -> list[int]:
     """Fewest edges covering every vertex and separating every vertex pair.
 
     Same branch-and-bound engine as the resolving-set solver; the universe
-    is the vertices (coverage bits) plus the vertex pairs (separation bits).
-    Returns sorted edge slots.
+    is the vertices (coverage bits) plus the vertex pairs (separation bits),
+    and the engine also prunes by the test-set split bound (_split_bound).
+    Returns sorted edge slots, checked to be a test cover.
     """
     enforce_cap(h.nverts, maxn, "md_n", "min_test_cover: nverts={n} exceeds cap {cap}")
     if not is_twin_free(h):
@@ -340,15 +341,54 @@ def min_test_cover(h: Hypergraph, maxn: int | None = None) -> list[int]:
     if union != (1 << n) - 1:
         missing = next(v for v in range(n) if not union >> v & 1)
         raise DomainError(f"vertex {missing} lies in no edge; no test cover exists")
-    pairs = list(combinations(range(n), 2))
+    # an edge separates a pair iff it holds exactly one end, so its
+    # separation bits are the XOR of the pair bits at each of its vertices
+    pairs_at = [0] * n
+    for idx, (a, b) in enumerate(combinations(range(n), 2)):
+        bit = 1 << (n + idx)
+        pairs_at[a] |= bit
+        pairs_at[b] |= bit
     masks = []
     for e in h.edges:
         m = e
-        for idx, (a, b) in enumerate(pairs):
-            if (e >> a & 1) != (e >> b & 1):
-                m |= 1 << (n + idx)
+        for v in iter_bits(e):
+            m ^= pairs_at[v]
         masks.append(m)
-    return min_cover(n + len(pairs), masks)
+    slots = min_cover(n + n * (n - 1) // 2, masks, _split_bound(h))
+    if not _is_test_cover(h.edges, n, slots):
+        raise InternalError("min_test_cover: the solver returned a non-test-cover")
+    return slots
+
+
+def _split_bound(h: Hypergraph):
+    """Test-set split bound for min_cover's hook.
+
+    The state is (zero, groups): the vertices in no chosen edge, and the
+    other classes of vertices with equal signature over the chosen edges
+    that still hold two or more vertices. A class of c vertices needs
+    (c - 1).bit_length() more edges to be split apart; the zero class needs
+    c.bit_length(), since its vertices must be covered as well.
+    """
+
+    def refine(state, i: int) -> tuple[tuple[int, tuple[int, ...]], int]:
+        zero, groups = ((1 << h.nverts) - 1, ()) if state is None else state
+        e = h.edges[i]
+        parts = [p for c in groups for p in (c & e, c & ~e)]
+        parts.append(zero & e)
+        groups = tuple(p for p in parts if p & (p - 1))
+        zero &= ~e
+        bound = zero.bit_count().bit_length()
+        for c in groups:
+            bound = max(bound, (c.bit_count() - 1).bit_length())
+        return (zero, groups), bound
+
+    return refine
+
+
+def _is_test_cover(edges: list[int], nverts: int, slots) -> bool:
+    """Whether the edges in ``slots`` cover every vertex and split every pair."""
+    sigs = [frozenset(s for s in slots if edges[s] >> v & 1) for v in range(nverts)]
+    return all(sigs) and len(set(sigs)) == nverts
 
 
 def prop9_witness(h: Hypergraph, maxn: int | None = None) -> Hypergraph:
@@ -387,9 +427,5 @@ def prop9_witness(h: Hypergraph, maxn: int | None = None) -> Hypergraph:
     # the k images must be pairwise distinct edges...
     assert len(set(cover_slots)) == k
     # ...and a test cover of the trace: every vertex covered, every pair split
-    sigs = [
-        frozenset(s for s in cover_slots if result.edges[s] >> v & 1)
-        for v in range(result.nverts)
-    ]
-    assert all(sigs) and len(set(sigs)) == result.nverts
+    assert _is_test_cover(result.edges, result.nverts, cover_slots)
     return result

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import enforce_cap
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .graphs import Graph, all_distances, is_connected, is_tree, iter_bits
-from .hypergraphs import _balls, _first_centers
+from .hypergraphs import _balls, _first_centers, _is_test_cover
 from .setcover import min_cover
 
 
@@ -37,9 +37,10 @@ class ResolvingCertificate:
 
 def resolving_vectors(g: Graph, s) -> dict[int, tuple[int, ...]]:
     """Distance vector of every vertex to the landmark list (sorted order)."""
-    if not is_connected(g) or g.n == 0:
+    dist = all_distances(g)
+    if not dist or -1 in dist[0]:
         raise DomainError("resolving sets are defined for connected nonempty graphs")
-    return _landmark_vectors(all_distances(g), s)
+    return _landmark_vectors(dist, s)
 
 
 def _landmark_vectors(dist: list[list[int]], s) -> dict[int, tuple[int, ...]]:
@@ -126,7 +127,8 @@ def metric_dimension_exact(g: Graph, maxn: int | None = None) -> ResolvingCertif
         masks.append(m)
     chosen = min_cover(len(todo), masks)
     cert = _certificate(dist, sorted(set(preselected) | set(chosen)))
-    assert cert.verified
+    if not cert.verified:
+        raise InternalError("metric_dimension_exact: the solver returned a non-resolving set")
     return cert
 
 
@@ -189,10 +191,7 @@ def resolving_to_test_cover(g: Graph, s) -> list[int]:
     chosen.add(slot[balls[d][anchor]])
 
     out = sorted(chosen)
-    sigs = [
-        frozenset(i for i in out if edges[i] >> v & 1) for v in range(g.n)
-    ]
-    assert all(sigs) and len(set(sigs)) == g.n
+    assert _is_test_cover(edges, g.n, out)
     return out
 
 
@@ -206,10 +205,7 @@ def test_cover_to_resolving(g: Graph, slots) -> list[int]:
     for i in chosen:
         if not 0 <= i < len(edges):
             raise DomainError(f"edge slot {i} out of range")
-    sigs = [
-        frozenset(i for i in chosen if edges[i] >> v & 1) for v in range(g.n)
-    ]
-    if not (all(sigs) and len(set(sigs)) == g.n):
+    if not _is_test_cover(edges, g.n, chosen):
         raise DomainError("chosen edges are not a test cover")
     out = sorted({first[edges[i]][0] for i in chosen})
     assert _resolves(dist, out)

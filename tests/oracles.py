@@ -7,6 +7,7 @@ agreement between the two is meaningful evidence.
 
 import itertools
 
+from metriclab.errors import DomainError
 from metriclab.graphs import Graph, iter_bits
 
 INF = float("inf")
@@ -105,6 +106,108 @@ def naive_min_cover_size(universe_size, masks):
             if cov == full:
                 return r
     return None
+
+
+# the set-cover engine as it was before its packing bound became a bitmask
+# chain and it took a caller's lower bound; kept verbatim (the greedy cover
+# too) so the new engine can be checked to return the same index lists
+
+
+def reference_greedy_cover(universe_size: int, masks: list[int]) -> list[int]:
+    """Greedy cover (largest gain first, ties to the lower index).
+
+    Raises DomainError if the masks cannot cover the universe.
+    """
+    full = (1 << universe_size) - 1
+    cov = 0
+    chosen: list[int] = []
+    while cov != full:
+        best = -1
+        best_gain = 0
+        for i, m in enumerate(masks):
+            gain = (m & ~cov).bit_count()
+            if gain > best_gain:
+                best_gain = gain
+                best = i
+        if best < 0:
+            raise DomainError("universe is not coverable by the given candidates")
+        chosen.append(best)
+        cov |= masks[best]
+    return chosen
+
+
+def reference_min_cover(universe_size: int, masks: list[int]) -> list[int]:
+    """Indices of a minimum cover, sorted ascending. Empty universe -> [].
+
+    Exhaustive (no cap here; callers cap on their own instance size).
+    """
+    full = (1 << universe_size) - 1
+    if full == 0:
+        return []
+
+    # dominated-candidate elimination: drop any mask contained in another,
+    # keeping the lowest index among exact duplicates
+    kept: list[int] = []
+    for i, m in enumerate(masks):
+        dominated = False
+        for j, mj in enumerate(masks):
+            if j == i:
+                continue
+            if m & ~mj == 0 and (mj != m or j < i):
+                dominated = True
+                break
+        if not dominated:
+            kept.append(i)
+    kmasks = [masks[i] for i in kept]
+
+    # per-constraint candidate sets (bitmask over positions in kept)
+    cands = [0] * universe_size
+    for pos, m in enumerate(kmasks):
+        for e in iter_bits(m):
+            if e < universe_size:
+                cands[e] |= 1 << pos
+    for e in range(universe_size):
+        if cands[e] == 0:
+            raise DomainError(f"constraint {e} is not coverable")
+
+    elem_order = sorted(range(universe_size), key=lambda e: (cands[e].bit_count(), e))
+    best = reference_greedy_cover(universe_size, kmasks)
+
+    def packing_bound(cov: int) -> int:
+        used = 0
+        count = 0
+        for e in elem_order:
+            if cov >> e & 1:
+                continue
+            ce = cands[e]
+            if ce & used == 0:
+                used |= ce
+                count += 1
+        return count
+
+    def dfs(cov: int, chosen: list[int]) -> None:
+        nonlocal best
+        if cov == full:
+            if len(chosen) < len(best):
+                best = list(chosen)
+            return
+        if len(chosen) + packing_bound(cov) >= len(best):
+            return
+        for e in elem_order:
+            if not cov >> e & 1:
+                branch = e
+                break
+        order = sorted(
+            iter_bits(cands[branch]),
+            key=lambda i: (-(kmasks[i] & ~cov).bit_count(), i),
+        )
+        for i in order:
+            chosen.append(i)
+            dfs(cov | kmasks[i], chosen)
+            chosen.pop()
+
+    dfs(0, [])
+    return sorted(kept[i] for i in best)
 
 
 def naive_metric_dimension(g):

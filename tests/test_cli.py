@@ -45,6 +45,13 @@ def test_gen_json_modes(cli, tmp_path):
     assert out.strip() == json.loads(dest.read_text())["graph6"]
 
 
+def test_failed_certificate_exits_4(cli, monkeypatch):
+    monkeypatch.setattr("metriclab.resolving.min_cover", lambda u, masks, lower_bound=None: [])
+    code, out, err = cli(["solve", "md"], stdin_text=P4_EDGES)
+    assert (code, out) == (4, "")
+    assert err == "error: metric_dimension_exact: the solver returned a non-resolving set\n"
+
+
 @pytest.mark.parametrize(
     "argv,want_dim",
     [

@@ -1,9 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import metriclab
 import metriclab.graphs
-from metriclab.errors import DomainError, TooLargeError
+from metriclab import hypergraphs, resolving
+from metriclab.errors import DomainError, InternalError, TooLargeError
 from metriclab.graphs import (
     Graph,
     complete_bipartite,
@@ -120,6 +127,48 @@ def test_solver_computes_the_distance_matrix_once(monkeypatch):
     calls.clear()
     assert len(cover_to_resolving(path_graph(10), cover)) <= len(cover)
     assert len(calls) <= 11
+    # is_resolving refuses disconnected graphs from the matrix itself
+    calls.clear()
+    assert is_resolving(path_graph(10), [0])
+    assert len(calls) <= 10
+
+
+def test_solvers_check_their_answers(monkeypatch):
+    # a wrong engine for P4: no landmark at all, and only the ball B(0, 0)
+    # as a test cover
+    monkeypatch.setattr(resolving, "min_cover", lambda u, masks, lower_bound=None: [])
+    monkeypatch.setattr(hypergraphs, "min_cover", lambda u, masks, lower_bound=None: [0])
+    with pytest.raises(InternalError, match="non-resolving set"):
+        metric_dimension_exact(path_graph(4))
+    with pytest.raises(InternalError, match="non-test-cover"):
+        min_test_cover(distance_hypergraph(path_graph(4)))
+
+
+def test_solver_checks_survive_python_O():
+    script = textwrap.dedent(
+        """
+        import pytest
+        from metriclab import hypergraphs, resolving
+        from metriclab.errors import InternalError
+        from metriclab.graphs import path_graph
+
+        if __debug__:
+            raise SystemExit("asserts are still on")
+        resolving.min_cover = lambda u, masks, lower_bound=None: []
+        hypergraphs.min_cover = lambda u, masks, lower_bound=None: [0]
+        with pytest.raises(InternalError):
+            resolving.metric_dimension_exact(path_graph(4))
+        with pytest.raises(InternalError):
+            hypergraphs.min_test_cover(hypergraphs.distance_hypergraph(path_graph(4)))
+        print("checked")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(metriclab.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "checked\n"
 
 
 def test_solver_deterministic():

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metriclab import hypergraphs, resolving
+from metriclab.enumeration import enumerate_connected_graphs
 from metriclab.errors import DomainError
+from metriclab.extremal import gen_o
+from metriclab.hypergraphs import distance_hypergraph, min_test_cover
+from metriclab.resolving import metric_dimension_exact
 from metriclab.setcover import greedy_cover, min_cover
 
 import oracles
@@ -29,6 +34,12 @@ def test_small_examples():
     assert min_cover(3, [0b111, 0b011]) == [0]
     # duplicate full masks: lowest index kept
     assert min_cover(2, [0b11, 0b11]) == [0]
+
+
+def test_mask_bits_above_the_universe_are_ignored():
+    assert min_cover(2, [0b111]) == [0]
+    assert greedy_cover(2, [0b101, 0b010]) == [0, 1]
+    assert min_cover(2, [0b110, 0b001, 0b111]) == [2]
 
 
 def test_infeasible_raises():
@@ -95,3 +106,73 @@ def test_deterministic_and_domination_stable():
         assert a == min_cover(u, masks)
         # appending one more dominated candidate changes nothing
         assert a == min_cover(u, masks + [masks[0]])
+
+
+def test_matches_reference_engine_on_random_instances():
+    # same index list as the engine kept in oracles, not only the same size
+    rng = random.Random(1985)
+    solved = 0
+    for _ in range(500):
+        u = rng.randrange(0, 13)
+        # half the masks come from a small pool holding the empty mask, so
+        # empty and repeated masks occur
+        pool = [0] + [rng.getrandbits(u) for _ in range(3)]
+        masks = [
+            rng.choice(pool) if rng.random() < 0.5 else rng.getrandbits(u)
+            for _ in range(rng.randrange(0, 11))
+        ]
+        try:
+            want = oracles.reference_min_cover(u, masks)
+        except DomainError:
+            with pytest.raises(DomainError):
+                min_cover(u, masks)
+            continue
+        assert min_cover(u, masks) == want
+        solved += 1
+    assert solved >= 250
+
+
+@pytest.fixture
+def checked_engine(monkeypatch):
+    """Both solvers' min_cover, each answer checked against the reference
+    engine; returns the list of every checked call's universe size."""
+    universes = []
+
+    def checked(universe_size, masks, lower_bound=None):
+        got = min_cover(universe_size, masks, lower_bound)
+        assert got == oracles.reference_min_cover(universe_size, masks)
+        universes.append(universe_size)
+        return got
+
+    monkeypatch.setattr(resolving, "min_cover", checked)
+    monkeypatch.setattr(hypergraphs, "min_cover", checked)
+    return universes
+
+
+def solve_md_and_tc(g):
+    metric_dimension_exact(g)
+    min_test_cover(distance_hypergraph(g))
+
+
+def test_solvers_match_reference_engine_on_small_graphs(checked_engine):
+    graphs = list(enumerate_connected_graphs(6))
+    for g in graphs:
+        solve_md_and_tc(g)
+    assert len(graphs) == 143 and len(checked_engine) == 2 * 143
+
+
+def test_solvers_match_reference_engine_on_outerplanar_family(checked_engine):
+    # the O(d, k) members the harness checks (k = 2..4) with at most 20
+    # vertices; past k = 8 the reference engine's test cover of O(2, k)
+    # costs about five times more per step in k (half a minute at k = 11)
+    members = [
+        g
+        for d in range(2, 9)
+        for k in range(2, 5)
+        for chords in (False, True)
+        for g, _ in [gen_o(d, k, with_chords=chords)]
+        if g.n <= 20
+    ]
+    for g in members:
+        solve_md_and_tc(g)
+    assert len(members) == 18 and max(checked_engine) == 190
