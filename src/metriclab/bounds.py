@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 
 
 def _need(cond: bool, msg: str) -> None:
@@ -37,7 +37,8 @@ def bound_tree(d: int, k: int) -> int:
     """
     _need(d >= 0 and k >= 0, "bound_tree needs d >= 0, k >= 0")
     num = (k * d + 4) * (d + 2) if d % 2 == 0 else (k * d - k + 8) * (d + 1)
-    assert num % 8 == 0
+    if num % 8:
+        raise InternalError(f"bound_tree: {num} is not divisible by 8")
     return num // 8
 
 

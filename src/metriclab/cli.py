@@ -7,7 +7,8 @@ machine-parseable payload per invocation (graph6, hypergraph text, PACE
 text, JSON, CSV, or the verify table); diagnostics go to stderr.
 
 Exit codes: 0 success or suite pass, 1 suite failure, 2 usage or bad
-input, 3 instance over its size cap.
+input, 3 instance over its size cap, 4 a solver's answer failed its own
+certificate check.
 """
 
 from __future__ import annotations

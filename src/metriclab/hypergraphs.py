@@ -241,7 +241,8 @@ def _largest_shattered(h: Hypergraph, level: list[int], pairs_only: bool) -> tup
         if t not in first and (not pairs_only or t.bit_count() == 2):
             first[t] = i
     k = best.bit_count()
-    assert len(first) == (k * (k - 1) // 2 if pairs_only else 1 << k)
+    if len(first) != (k * (k - 1) // 2 if pairs_only else 1 << k):
+        raise InternalError("shatter search: the witness misses a trace")
     assignment = {tuple(iter_bits(t)): i for t, i in first.items()}
     return k, ShatterWitness(list(iter_bits(best)), assignment)
 
@@ -407,7 +408,8 @@ def prop9_witness(h: Hypergraph, maxn: int | None = None) -> Hypergraph:
     x_of = {frozenset(sub): v for sub, v in wit.assignment.items()}
     x0 = x_of[frozenset()]
     keep = sorted(v for sub, v in x_of.items() if sub)
-    assert len(keep) == (1 << k) - 1 and x0 not in keep
+    if len(keep) != (1 << k) - 1 or x0 in keep:
+        raise InternalError("prop9_witness: the dual witness is not a full assignment")
     pos = {v: i for i, v in enumerate(keep)}
     keepmask = 0
     for v in keep:
@@ -424,8 +426,8 @@ def prop9_witness(h: Hypergraph, maxn: int | None = None) -> Hypergraph:
         slot = result.edges.index(img)
         result.edge_labels[slot] = f"A{j}"
         cover_slots.append(slot)
-    # the k images must be pairwise distinct edges...
-    assert len(set(cover_slots)) == k
-    # ...and a test cover of the trace: every vertex covered, every pair split
-    assert _is_test_cover(result.edges, result.nverts, cover_slots)
+    # the k images must be pairwise distinct edges and a test cover of the
+    # trace: every vertex covered, every pair split
+    if len(set(cover_slots)) != k or not _is_test_cover(result.edges, result.nverts, cover_slots):
+        raise InternalError("prop9_witness: the traced family is not a test cover of size k")
     return result

@@ -1,17 +1,14 @@
-"""Minor detection: K_t and K_{2,3}, and the outerplanarity predicate.
+"""Minor detection: K_t by branch-set search, outerplanarity (uncapped) by
+degree-2 reduction.
 
-Strategy: a 2-connected pattern can only live inside one block, so the input
-is split into biconnected components first. For K_t with t >= 4 (min degree
-3) each block is additionally smoothed: suppressing a degree-2 vertex keeps
-exactly the minors of minimum degree >= 3, and the smoothed block is itself
-a minor of the original. Smoothing is NOT applied for K_{2,3} (a theta graph
-has a K_{2,3} minor that its smoothing lacks). Blocks that are bare cycles
-are dismissed directly; the instance-size cap applies to what is left after
-these exact reductions.
-
-The core search is exhaustive branch-set backtracking: enumerate connected
-vertex subsets once, then assign one to each pattern vertex with bitmask
-disjointness/adjacency checks and same-class symmetry breaking.
+K_t with t >= 4 (minimum degree 3) lives inside one block, so the input is
+split into biconnected components and each block is smoothed: suppressing a
+degree-2 vertex keeps exactly the minors of minimum degree >= 3, and the
+smoothed block is itself a minor of the original. Bare cycles are skipped.
+The minor_n cap applies to what these exact reductions leave.
+The search enumerates connected vertex subsets once, then assigns one to
+each pattern vertex with bitmask disjointness/adjacency checks, masks
+increasing to kill the symmetry of K_t.
 """
 
 from __future__ import annotations
@@ -48,14 +45,9 @@ def _connected_subsets(g: Graph, max_size: int) -> list[tuple[int, int]]:
     return res
 
 
-def _branch_set_search(g: Graph, pattern_adj: list[int], classes: list[int]) -> bool:
-    """Is there a minor model of the pattern in connected graph g?
-
-    pattern_adj[i] is the neighbor mask of pattern vertex i; classes marks
-    interchangeable pattern vertices (equal class => branch-set masks must
-    increase, killing permutation symmetry).
-    """
-    t = len(pattern_adj)
+def _branch_set_search(g: Graph, t: int) -> bool:
+    """Is there a K_t minor model in connected graph g? Each branch set must
+    touch every earlier one, and the masks increase along the pattern."""
     if g.n < t:
         return False
     cands = _connected_subsets(g, g.n - (t - 1))
@@ -65,19 +57,17 @@ def _branch_set_search(g: Graph, pattern_adj: list[int], classes: list[int]) -> 
     def dfs(i: int, used: int) -> bool:
         if i == t:
             return True
-        floor = chosen_masks[i - 1] if i > 0 and classes[i] == classes[i - 1] else 0
+        floor = chosen_masks[i - 1] if i > 0 else 0
         need = t - i - 1
         for mask, nb in cands:
             if mask <= floor or mask & used:
                 continue
             if (g.n - (used | mask).bit_count()) < need:
                 continue
-            ok = True
             for j in range(i):
-                if pattern_adj[i] >> j & 1 and not (nb & chosen_masks[j]):
-                    ok = False
+                if not nb & chosen_masks[j]:
                     break
-            if ok:
+            else:
                 chosen_masks[i] = mask
                 if dfs(i + 1, used | mask):
                     return True
@@ -107,35 +97,12 @@ def _smooth(g: Graph) -> Graph:
     return cur
 
 
-def _is_cycle_block(b: Graph) -> bool:
-    return b.n >= 3 and all(b.degree(v) == 2 for v in range(b.n))
-
-
-def _minor_in_some_block(
-    g: Graph, pattern_adj: list[int], classes: list[int], maxn: int | None, too_large: str
-) -> bool:
-    """Search the blocks of g that could hold the 2-connected pattern, smallest
-    first. Bare cycles are skipped; blocks are smoothed when every pattern
-    vertex has degree >= 3. The minor_n cap applies to each reduced block
-    just before its search, with ``too_large`` as the message."""
-    t = len(pattern_adj)
-    smooth = all(p.bit_count() >= 3 for p in pattern_adj)
-    blocks = [g.induced(b) for b in biconnected_components(g) if len(b) >= t]
-    for b in sorted(blocks, key=lambda b: b.n):
-        if _is_cycle_block(b):
-            continue
-        if smooth:
-            b = _smooth(b)
-            if b.n < t:
-                continue
-        enforce_cap(b.n, maxn, "minor_n", too_large)
-        if _branch_set_search(b, pattern_adj, classes):
-            return True
-    return False
-
-
 def has_clique_minor(g: Graph, t: int, maxn: int | None = None) -> bool:
-    """Does g have a K_t minor? Exact; cap applies after reductions."""
+    """Does g have a K_t minor? Exact; cap applies after reductions.
+
+    For t >= 4, blocks of >= t vertices other than bare cycles are smoothed
+    and searched smallest first, each capped by minor_n just before its search.
+    """
     if t < 1:
         raise DomainError("t must be positive")
     if t == 1:
@@ -144,24 +111,56 @@ def has_clique_minor(g: Graph, t: int, maxn: int | None = None) -> bool:
         return g.m >= 1
     if t == 3:
         return any(len(b) >= 3 for b in biconnected_components(g))
-    pattern = [((1 << t) - 1) & ~(1 << i) for i in range(t)]
-    return _minor_in_some_block(
-        g, pattern, [0] * t, maxn, "has_clique_minor: reduced block has {n} vertices, cap {cap}"
-    )
+    blocks = [g.induced(b) for b in biconnected_components(g) if len(b) >= t]
+    for b in sorted(blocks, key=lambda b: b.n):
+        if all(b.degree(v) == 2 for v in range(b.n)):
+            continue  # a bare cycle, which smoothing would only shrink to a triangle
+        b = _smooth(b)
+        if b.n < t:
+            continue
+        enforce_cap(b.n, maxn, "minor_n", "has_clique_minor: reduced block has {n} vertices, cap {cap}")
+        if _branch_set_search(b, t):
+            return True
+    return False
 
 
-_K23_ADJ = [0b11100, 0b11100, 0b00011, 0b00011, 0b00011]
-_K23_CLASSES = [0, 0, 1, 1, 1]
+def is_outerplanar(g: Graph) -> bool:
+    """Can g be drawn in the plane with every vertex on the outer face?
 
+    g is outerplanar iff each block is; blocks of <= 3 vertices always are.
+    A block of n >= 4 vertices is reduced n - 3 times: take a degree-2
+    vertex v with neighbors u < w, delete v, add the edge uw if missing, and
+    mark (u, w) exposed. It fails if no degree-2 vertex is left, or if (u, w)
+    was exposed before (Mitchell, "Linear algorithms to recognize outerplanar
+    and maximal outerplanar graphs", IPL 1979).
 
-def has_k23_minor(g: Graph, maxn: int | None = None) -> bool:
-    """Does g have a K_{2,3} minor? No smoothing here (pattern has degree-2
-    vertices); bare-cycle blocks are skipped, the cap guards the rest."""
-    return _minor_in_some_block(
-        g, _K23_ADJ, _K23_CLASSES, maxn, "has_k23_minor: block has {n} vertices, cap {cap}"
-    )
-
-
-def is_outerplanar(g: Graph, maxn: int | None = None) -> bool:
-    """No K_4 minor and no K_{2,3} minor."""
-    return not has_clique_minor(g, 4, maxn=maxn) and not has_k23_minor(g, maxn=maxn)
+    Exactness: a 2-connected outerplanar graph on n >= 3 vertices has a
+    unique Hamiltonian cycle, its outer face. v's two edges lie on it, so a
+    step shortcuts u-v-w by uw: the result is 2-connected and outerplanar,
+    with every exposed edge still present on its cycle. An edge exposed
+    twice while n > 3 would make u-v-w the whole cycle, and min degree >= 3
+    rules out outerplanarity. Conversely a step is undone in a drawing by
+    putting v back in the outer face beside the exposed edge uw (then
+    dropping uw if it was added). So each step keeps the answer, in any
+    order. A step contracts vw, which keeps the block 2-connected, so every
+    degree stays >= 2 and a vertex of degree 2 stays one until deleted.
+    """
+    for block in biconnected_components(g):
+        if len(block) < 4:
+            continue
+        adj = g.induced(block).adj
+        todo = [v for v in range(len(block)) if adj[v].bit_count() == 2]
+        exposed = set()
+        for _ in range(len(block) - 3):
+            if not todo:
+                return False
+            v = todo.pop()
+            u, w = iter_bits(adj[v])
+            if (u, w) in exposed:
+                return False
+            exposed.add((u, w))
+            for x, y in ((u, w), (w, u)):
+                if adj[x] >> y & 1 and adj[x].bit_count() == 3:
+                    todo.append(x)
+                adj[x] = adj[x] & ~(1 << v) | 1 << y
+    return True

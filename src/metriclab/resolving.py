@@ -109,21 +109,27 @@ def metric_dimension_exact(g: Graph, maxn: int | None = None) -> ResolvingCertif
     for cls in _twin_classes(dist):
         preselected.extend(cls[:-1])  # all but the largest of each class
 
-    def separates(x: int, u: int, v: int) -> bool:
-        return dist[x][u] != dist[x][v]
-
     todo = [
         (u, v)
         for u in range(n)
         for v in range(u + 1, n)
-        if not any(separates(x, u, v) for x in preselected)
+        if all(dist[x][u] == dist[x][v] for x in preselected)
     ]
+    # x separates a pair iff its ends lie in different classes of the row
+    # dist[x], so x's mask is the OR over those classes of the XOR of the
+    # pair bits at each class member
+    pairs_at = [0] * n
+    for idx, (u, v) in enumerate(todo):
+        pairs_at[u] |= 1 << idx
+        pairs_at[v] |= 1 << idx
     masks = []
-    for x in range(n):
+    for row in dist:
+        classes: dict[int, int] = {}
+        for v, d in enumerate(row):
+            classes[d] = classes.get(d, 0) ^ pairs_at[v]
         m = 0
-        for idx, (u, v) in enumerate(todo):
-            if separates(x, u, v):
-                m |= 1 << idx
+        for c in classes.values():
+            m |= c
         masks.append(m)
     chosen = min_cover(len(todo), masks)
     cert = _certificate(dist, sorted(set(preselected) | set(chosen)))
@@ -163,9 +169,9 @@ def tree_metric_dimension(t: Graph) -> ResolvingCertificate:
     for major in sorted(legs_of):
         witness.extend(sorted(legs_of[major])[:-1])
     nleaves = sum(1 for v in range(t.n) if t.degree(v) == 1)
-    assert len(witness) == nleaves - len(legs_of)
     cert = _certificate(all_distances(t), sorted(witness))
-    assert cert.verified
+    if len(witness) != nleaves - len(legs_of) or not cert.verified:
+        raise InternalError("tree_metric_dimension: the leg witness is the wrong size or not resolving")
     return cert
 
 
@@ -191,7 +197,8 @@ def resolving_to_test_cover(g: Graph, s) -> list[int]:
     chosen.add(slot[balls[d][anchor]])
 
     out = sorted(chosen)
-    assert _is_test_cover(edges, g.n, out)
+    if not _is_test_cover(edges, g.n, out):
+        raise InternalError("resolving_to_test_cover: the balls are not a test cover")
     return out
 
 
@@ -208,5 +215,6 @@ def test_cover_to_resolving(g: Graph, slots) -> list[int]:
     if not _is_test_cover(edges, g.n, chosen):
         raise DomainError("chosen edges are not a test cover")
     out = sorted({first[edges[i]][0] for i in chosen})
-    assert _resolves(dist, out)
+    if not _resolves(dist, out):
+        raise InternalError("test_cover_to_resolving: the centers are not resolving")
     return out

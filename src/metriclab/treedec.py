@@ -9,15 +9,22 @@ so callers can show them; the other operations refuse invalid input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .config import enforce_cap
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, InternalError
 from .graphs import Graph, all_distances, is_chordal, is_connected, iter_bits, mcs_order
 
 
 @dataclass(frozen=True)
 class TreeDecomposition:
+    """Bags over a host graph, joined by tree edges.
+
+    Nothing mutates ``host`` after construction, so the violation report
+    is computed once per decomposition and cached.
+    """
+
     host: Graph
     bags: tuple
     tree_edges: tuple
@@ -28,79 +35,82 @@ class TreeDecomposition:
         norm = sorted(tuple(sorted(e)) for e in tree_edges)
         object.__setattr__(self, "tree_edges", tuple(norm))
 
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        out = []
+        nb = len(self.bags)
+        n = self.host.n
+        for i, bag in enumerate(self.bags):
+            for v in sorted(bag):
+                if not 0 <= v < n:
+                    out.append(f"bag {i}: vertex {v} outside host range")
+        tree_ok = True
+        seen_edges = set()
+        adj = [[] for _ in range(nb)]
+        for i, j in self.tree_edges:
+            if not (0 <= i < nb and 0 <= j < nb):
+                out.append(f"tree: edge ({i}, {j}) has a bag index out of range")
+                tree_ok = False
+                continue
+            if i == j:
+                out.append(f"tree: self-loop at bag {i}")
+                tree_ok = False
+                continue
+            if (i, j) in seen_edges:
+                out.append(f"tree: duplicate edge ({i}, {j})")
+                tree_ok = False
+                continue
+            seen_edges.add((i, j))
+            adj[i].append(j)
+            adj[j].append(i)
+        if tree_ok and nb > 0:
+            if len(seen_edges) != nb - 1:
+                out.append(f"tree: expected {nb - 1} edges, found {len(seen_edges)}")
+                tree_ok = False
+            else:
+                seen = {0}
+                stack = [0]
+                while stack:
+                    for j in adj[stack.pop()]:
+                        if j not in seen:
+                            seen.add(j)
+                            stack.append(j)
+                if len(seen) != nb:
+                    out.append("tree: bag nodes are not connected")
+                    tree_ok = False
+        covered = set().union(*self.bags) if self.bags else set()
+        for v in range(n):
+            if v not in covered:
+                out.append(f"P1: vertex {v} appears in no bag")
+        for u, v in self.host.edges():
+            if not any(u in bag and v in bag for bag in self.bags):
+                out.append(f"P2: edge ({u}, {v}) contained in no bag")
+        if tree_ok:
+            for v in range(n):
+                holders = [i for i, bag in enumerate(self.bags) if v in bag]
+                if len(holders) <= 1:
+                    continue
+                hset = set(holders)
+                seen = {holders[0]}
+                stack = [holders[0]]
+                while stack:
+                    for j in adj[stack.pop()]:
+                        if j in hset and j not in seen:
+                            seen.add(j)
+                            stack.append(j)
+                if len(seen) != len(holders):
+                    out.append(f"P3: bags containing vertex {v} do not form a subtree")
+        return tuple(out)
+
 
 def validate(td: TreeDecomposition) -> list[str]:
     """Violation report; empty list means valid."""
-    out = []
-    nb = len(td.bags)
-    n = td.host.n
-    for i, bag in enumerate(td.bags):
-        for v in sorted(bag):
-            if not 0 <= v < n:
-                out.append(f"bag {i}: vertex {v} outside host range")
-    tree_ok = True
-    seen_edges = set()
-    adj = [[] for _ in range(nb)]
-    for i, j in td.tree_edges:
-        if not (0 <= i < nb and 0 <= j < nb):
-            out.append(f"tree: edge ({i}, {j}) has a bag index out of range")
-            tree_ok = False
-            continue
-        if i == j:
-            out.append(f"tree: self-loop at bag {i}")
-            tree_ok = False
-            continue
-        if (i, j) in seen_edges:
-            out.append(f"tree: duplicate edge ({i}, {j})")
-            tree_ok = False
-            continue
-        seen_edges.add((i, j))
-        adj[i].append(j)
-        adj[j].append(i)
-    if tree_ok and nb > 0:
-        if len(seen_edges) != nb - 1:
-            out.append(f"tree: expected {nb - 1} edges, found {len(seen_edges)}")
-            tree_ok = False
-        else:
-            seen = {0}
-            stack = [0]
-            while stack:
-                for j in adj[stack.pop()]:
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-            if len(seen) != nb:
-                out.append("tree: bag nodes are not connected")
-                tree_ok = False
-    covered = set().union(*td.bags) if td.bags else set()
-    for v in range(n):
-        if v not in covered:
-            out.append(f"P1: vertex {v} appears in no bag")
-    for u, v in td.host.edges():
-        if not any(u in bag and v in bag for bag in td.bags):
-            out.append(f"P2: edge ({u}, {v}) contained in no bag")
-    if tree_ok:
-        for v in range(n):
-            holders = [i for i, bag in enumerate(td.bags) if v in bag]
-            if len(holders) <= 1:
-                continue
-            hset = set(holders)
-            seen = {holders[0]}
-            stack = [holders[0]]
-            while stack:
-                for j in adj[stack.pop()]:
-                    if j in hset and j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-            if len(seen) != len(holders):
-                out.append(f"P3: bags containing vertex {v} do not form a subtree")
-    return out
+    return list(td._violations)
 
 
 def _require_valid(td: TreeDecomposition) -> None:
-    bad = validate(td)
-    if bad:
-        raise DomainError("invalid decomposition: " + bad[0])
+    if td._violations:
+        raise DomainError("invalid decomposition: " + td._violations[0])
 
 
 def width(td: TreeDecomposition) -> int:
@@ -332,7 +342,7 @@ def _treewidth_core(g: Graph) -> tuple[int, list[int]]:
                 mask = pm
                 break
         else:
-            raise AssertionError("broken reconstruction chain")
+            raise InternalError("treewidth_exact: broken reconstruction chain")
     return val, rev[::-1]
 
 
@@ -388,7 +398,8 @@ def treewidth_exact(g: Graph, maxn: int | None = None) -> tuple[int, TreeDecompo
         edges.append((home, len(bags) - 1))
     tw = max(core_tw, peeled_deg)
     td = TreeDecomposition(g, bags, edges)
-    assert not validate(td) and width(td) == tw
+    if td._violations or width(td) != tw:
+        raise InternalError("treewidth_exact: the decomposition does not certify the width")
     return tw, td
 
 

@@ -1,19 +1,32 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from metriclab.enumeration import enumerate_connected_graphs
 from metriclab.errors import DomainError, TooLargeError
+from metriclab.extremal import gen_o
 from metriclab.graphs import (
     Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    parse_graph6,
     path_graph,
     star_graph,
 )
-from metriclab.minors import has_clique_minor, has_k23_minor, is_outerplanar
+from metriclab.minors import has_clique_minor, is_outerplanar
 
-from oracles import has_minor_brute, random_graph, random_tree
+from oracles import (
+    has_k23_minor,
+    has_minor_brute,
+    random_connected_graph,
+    random_graph,
+    random_tree,
+    reference_is_outerplanar,
+)
+
+CORPUS8 = Path(__file__).parent / "data" / "connected8.g6"
 
 
 def petersen():
@@ -124,21 +137,39 @@ def test_against_brute_oracle():
         assert has_clique_minor(g, 3) == has_minor_brute(g, k3)
         assert has_clique_minor(g, 4) == has_minor_brute(g, k4)
         assert has_k23_minor(g) == has_minor_brute(g, k23)
+        assert is_outerplanar(g) == (not has_minor_brute(g, k4) and not has_minor_brute(g, k23))
 
 
 def test_cap_is_post_reduction():
     # block of 5 exceeds an artificial cap of 4
     five = chorded_cycle(5, 0, 2)
     with pytest.raises(TooLargeError):
-        has_k23_minor(five, maxn=4)
-    with pytest.raises(TooLargeError):
         has_clique_minor(complete_graph(5), 4, maxn=4)  # nothing to smooth
     assert not has_k23_minor(five)
     # smoothing may drop a block below the cap; then no error is due
     assert not has_clique_minor(five, 4, maxn=2)
-    # a 16-vertex chorded cycle beats the default cap for the K_{2,3} side
+    # a 16-vertex chorded cycle smooths down to nothing first
     big = chorded_cycle(16, 0, 8)
-    with pytest.raises(TooLargeError):
-        has_k23_minor(big)
-    # but the K_4 side smooths it down to nothing first
     assert not has_clique_minor(big, 4)
+
+
+def test_outerplanarity_has_no_cap():
+    # one 40-vertex block: far past minor_n, decided by the reduction alone
+    assert is_outerplanar(chorded_cycle(40, 0, 20))
+    crossed = chorded_cycle(40, 0, 20)
+    crossed.add_edge(10, 30)
+    assert not is_outerplanar(crossed)
+
+
+def test_outerplanarity_matches_k4_k23_reference():
+    pool = list(enumerate_connected_graphs(7))
+    pool += [parse_graph6(line) for line in CORPUS8.read_text().split()]
+    for d in range(2, 13):
+        for k in (2, 3, 5):
+            for chords in (False, True):
+                pool.append(gen_o(d, k, with_chords=chords)[0])
+    rng = random.Random(97)
+    for i in range(400):
+        pool.append(random_connected_graph(rng, 9 + i % 5, rng.choice([0.05, 0.1, 0.15, 0.2, 0.3])))
+    for g in pool:
+        assert is_outerplanar(g) == reference_is_outerplanar(g)

@@ -9,7 +9,7 @@ import pytest
 
 import metriclab
 import metriclab.graphs
-from metriclab import hypergraphs, resolving
+from metriclab import hypergraphs, resolving, treedec
 from metriclab.errors import DomainError, InternalError, TooLargeError
 from metriclab.graphs import (
     Graph,
@@ -142,15 +142,19 @@ def test_solvers_check_their_answers(monkeypatch):
         metric_dimension_exact(path_graph(4))
     with pytest.raises(InternalError, match="non-test-cover"):
         min_test_cover(distance_hypergraph(path_graph(4)))
+    # C5 has no simplicial vertex; a core search claiming width 0 is refuted
+    monkeypatch.setattr(treedec, "_treewidth_core", lambda core: (0, list(range(core.n))))
+    with pytest.raises(InternalError, match="does not certify the width"):
+        treedec.treewidth_exact(cycle_graph(5))
 
 
 def test_solver_checks_survive_python_O():
     script = textwrap.dedent(
         """
         import pytest
-        from metriclab import hypergraphs, resolving
+        from metriclab import hypergraphs, resolving, treedec
         from metriclab.errors import InternalError
-        from metriclab.graphs import path_graph
+        from metriclab.graphs import cycle_graph, path_graph
 
         if __debug__:
             raise SystemExit("asserts are still on")
@@ -160,6 +164,9 @@ def test_solver_checks_survive_python_O():
             resolving.metric_dimension_exact(path_graph(4))
         with pytest.raises(InternalError):
             hypergraphs.min_test_cover(hypergraphs.distance_hypergraph(path_graph(4)))
+        treedec._treewidth_core = lambda core: (0, list(range(core.n)))
+        with pytest.raises(InternalError):
+            treedec.treewidth_exact(cycle_graph(5))
         print("checked")
         """
     )

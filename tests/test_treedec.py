@@ -85,6 +85,19 @@ def test_validate_violations():
     assert any("outside host range" in v for v in validate(oob))
 
 
+def test_invalid_input_is_refused_with_the_first_violation():
+    g = path_graph(4)
+    td = TreeDecomposition(g, [{0, 1}, {2, 3}], [(0, 1)])
+    report = validate(td)
+    report.append("caller's own note")
+    assert validate(td) == report[:-1]  # validate hands out a copy
+    message = "invalid decomposition: " + report[0]
+    for op in (width, length, reduce, nonleaf_bags_are_cutsets, lambda t: hanging_subtrees(t, 0)):
+        with pytest.raises(DomainError) as err:
+            op(td)
+        assert str(err.value) == message
+
+
 def test_width_and_length():
     td = path_decomposition(6)
     assert width(td) == 1
