@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 
 from .config import enforce_cap
 from .errors import DomainError, FormatError, InternalError, TooLargeError
@@ -182,69 +183,136 @@ def is_twin_free(h: Hypergraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# VC dimension and 2-VC dimension: levelwise search with one edge pass per
-# surviving set, extended by the union/intersection rule (_largest_shattered)
+# VC dimension and 2-VC dimension: one depth-first branch and bound over the
+# (2-)shattered sets in lexicographic preorder (_largest_shattered). A set's
+# trace groups are kept as masks over the distinct edges and split by one
+# vertex's column on the way down; one pass over them (_extensions) gives
+# the vertices that extend the set and a bound on how many more can join it.
 
 
-def _extensions(edges: list[int], nverts: int, xmask: int, pairs_only: bool) -> int:
-    """Mask of the v > max(xmask) that extend the (2-)shattered set xmask."""
-    groups: dict[int, list[int]] = {}  # trace -> [OR_t, AND_t]
-    for e in edges:
-        t = e & xmask
-        g = groups.get(t)
-        if g is None:
-            groups[t] = [e, e]
-        else:
-            g[0] |= e
-            g[1] &= e
-    mask = (1 << nverts) - (1 << xmask.bit_length())
-    if not pairs_only:
-        for union, meet in groups.values():
-            mask &= union & ~meet
-        return mask
-    for a in iter_bits(xmask):
-        mask &= groups.get(1 << a, (0,))[0]
-    for t, (_, meet) in groups.items():
-        if t.bit_count() == 2:
-            mask &= ~meet
-    return mask
+def _extensions(cols: list[int], cand: int, groups, pairs_only: bool) -> tuple[int, int]:
+    """(ext, room) of a set X known to be shattered (2-shattered if
+    ``pairs_only``), from its trace groups as masks over the distinct edges.
 
-
-def _largest_shattered(h: Hypergraph, level: list[int], pairs_only: bool) -> tuple[int, ShatterWitness]:
-    """Levelwise search from the sets in ``level`` (all of one size, each
-    shattered, or 2-shattered if ``pairs_only``) up to the first empty level.
-
-    One pass over the edges per surviving set X groups them by trace
-    t = e & X and keeps each group's union OR_t and intersection AND_t.
-    For v > max(X), X | {v} is shattered iff v splits every group (v in
-    OR_t & ~AND_t for every t), and 2-shattered iff v lies in OR_{a} for
-    every a in X (so trace {a} must occur) and outside AND_{a,b} for every
-    pair of X. Both rules are exact because both properties are hereditary:
-    X is known to qualify, so only the traces that gain v are in question.
-    Parents go in level order and extensions in increasing v, so every level
-    and the witness (the first set of the last level, realized by the first
-    edge slot of each trace, pairs only for 2-shattering) are those of
-    testing each candidate X | {v} on its own.
+    cols[w] is the mask of the edges holding w. For vc, ``groups`` lists
+    every nonempty group; for vc2 it is (group 0, the groups {a} for a in X,
+    the groups {a, b} for the pairs of X). ext is the mask of the w in
+    ``cand`` (all above max(X)) with X | {w} shattered (2-shattered); room
+    bounds how many vertices any shattered (2-shattered) superset of X adds.
     """
-    while True:
-        nxt = []
-        for xmask in level:
-            ext = _extensions(h.edges, h.nverts, xmask, pairs_only)
-            nxt.extend(xmask | 1 << v for v in iter_bits(ext))
-        if not nxt:
-            break
-        level = nxt
-    best = level[0]
+    ext = 0
+    if not pairs_only:
+        while cand:
+            w = cand & -cand
+            cand ^= w
+            cw = cols[w.bit_length() - 1]
+            for g in groups:
+                if not 0 < g & cw < g:  # w must split the group
+                    break
+            else:
+                ext |= w
+        return ext, min(map(int.bit_count, groups)).bit_length() - 1
+    zero, singles, pairs = groups
+    while cand:
+        w = cand & -cand
+        cand ^= w
+        cw = cols[w.bit_length() - 1]
+        for g in singles:
+            if not g & cw:  # some edge of trace {a} must hold w
+                break
+        else:
+            for g in pairs:
+                if g & cw == g:  # some edge of trace {a, b} must miss w
+                    break
+            else:
+                ext |= w
+    room = (1 + isqrt(1 + 8 * zero.bit_count())) // 2  # largest j, C(j, 2) <= |group 0|
+    return ext, min(room, min(map(int.bit_count, singles), default=room))
+
+
+def _split(groups, cv: int, pairs_only: bool):
+    """The trace groups of X | {v} from those of X, cv the column of v; for
+    vc2 only the traces of at most two vertices are kept."""
+    if not pairs_only:
+        return [g & cv for g in groups] + [g & ~cv for g in groups]
+    zero, singles, pairs = groups
+    return (
+        zero & ~cv,
+        [g & ~cv for g in singles] + [zero & cv],
+        [g & ~cv for g in pairs] + [g & cv for g in singles],
+    )
+
+
+def _largest_shattered(h: Hypergraph, pairs_only: bool) -> tuple[int, ShatterWitness]:
+    """Largest shattered set (2-shattered if ``pairs_only``) and its witness.
+
+    The search visits the qualifying sets depth first in lexicographic
+    preorder: the children of X are the X | {v}, v > max(X), in increasing
+    v. Each node X holds its edges grouped by trace t = e & X, as masks
+    over the distinct edges of h; a child's groups are the parent's split
+    by the column of v (for vc2, the groups of traces 0, {a} and {a, b}).
+    X | {w} is shattered iff w splits every group (some edge of the group
+    holds w and some does not, i.e. w in OR_t & ~AND_t), and 2-shattered
+    iff for every a in X some edge of trace {a} holds w (so trace {a} must
+    occur) and for every pair of X some edge of that trace misses w. Both
+    rules are exact because both properties are hereditary: X is known to
+    qualify, so only the traces that gain w are in question. Heredity also
+    puts every later extension of X | {v} among the extensions of X above v.
+
+    Bounds, each exact because distinct traces on a larger set need distinct
+    edges. If X | Y is shattered with Y disjoint from X, group t holds the
+    2^|Y| edges with traces t | Z, Z a subset of Y, so |Y| <= log2 |group_t|.
+    If X | Y is 2-shattered, group {a} holds the |Y| edges with traces
+    {a, y}, and group 0 the C(|Y|, 2) edges with traces {y, z} inside Y.
+    This room of X caps the subtree of X | {v} at
+    |X| + min(1 + |ext(X) above v|, room), and the subtree is skipped when
+    that is no more than the best size so far. At the root (X empty) the
+    room is the ceiling: floor(log2 m) for vc, and the largest k with
+    C(k, 2) <= m for vc2, where m is the number of distinct edges. Below
+    the root |X| + room never exceeds it (the groups of X share the m
+    edges), so once the best size reaches the ceiling every later child is
+    skipped and the search ends with no further pass.
+
+    The incumbent is replaced only by a strictly larger set, and a skipped
+    subtree holds no larger one, so the witness is the lexicographically
+    first largest set, the same as that of testing every candidate
+    X | {v} level by level. Each of its traces is realized by its first
+    edge slot in h (pairs only for 2-shattering).
+    """
+    edges = list(dict.fromkeys(h.edges))
+    cols = [0] * h.nverts
+    for i, e in enumerate(edges):
+        for v in iter_bits(e):
+            cols[v] |= 1 << i
+    every = (1 << len(edges)) - 1
+    root = (every, [], []) if pairs_only else [every]
+    best, best_mask = 0, 0  # the empty set; vc2 always finds a singleton
+
+    def search(xmask: int, size: int, groups, ext: int, room: int) -> None:
+        nonlocal best, best_mask
+        while ext:
+            v = ext & -ext
+            ext ^= v  # now the extensions of xmask above v
+            reach = size + min(ext.bit_count() + 1, room)
+            if reach <= best:
+                return  # later children have fewer extensions above them
+            if size + 1 > best:
+                best, best_mask = size + 1, xmask | v
+            if reach > best:
+                sub = _split(groups, cols[v.bit_length() - 1], pairs_only)
+                search(xmask | v, size + 1, sub, *_extensions(cols, ext, sub, pairs_only))
+
+    search(0, 0, root, *_extensions(cols, (1 << h.nverts) - 1, root, pairs_only))
     first: dict[int, int] = {}
     for i, e in enumerate(h.edges):
-        t = e & best
+        t = e & best_mask
         if t not in first and (not pairs_only or t.bit_count() == 2):
             first[t] = i
-    k = best.bit_count()
+    k = best_mask.bit_count()
     if len(first) != (k * (k - 1) // 2 if pairs_only else 1 << k):
         raise InternalError("shatter search: the witness misses a trace")
     assignment = {tuple(iter_bits(t)): i for t, i in first.items()}
-    return k, ShatterWitness(list(iter_bits(best)), assignment)
+    return k, ShatterWitness(list(iter_bits(best_mask)), assignment)
 
 
 def vc_dimension(h: Hypergraph, maxn: int | None = None) -> tuple[int, ShatterWitness | None]:
@@ -255,7 +323,7 @@ def vc_dimension(h: Hypergraph, maxn: int | None = None) -> tuple[int, ShatterWi
     enforce_cap(h.nverts, maxn, "vc_n", "vc_dimension: nverts={n} exceeds cap {cap}")
     if not h.edges:
         return 0, None
-    return _largest_shattered(h, [0], pairs_only=False)
+    return _largest_shattered(h, pairs_only=False)
 
 
 def vc2_dimension(h: Hypergraph, maxn: int | None = None) -> tuple[int, ShatterWitness]:
@@ -263,7 +331,7 @@ def vc2_dimension(h: Hypergraph, maxn: int | None = None) -> tuple[int, ShatterW
     enforce_cap(h.nverts, maxn, "vc_n", "vc2_dimension: nverts={n} exceeds cap {cap}")
     if h.nverts == 0:
         return 0, ShatterWitness([], {})
-    return _largest_shattered(h, [1 << v for v in range(h.nverts)], pairs_only=True)
+    return _largest_shattered(h, pairs_only=True)
 
 
 # ---------------------------------------------------------------------------

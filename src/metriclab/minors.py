@@ -13,6 +13,8 @@ increasing to kill the symmetry of K_t.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from .config import enforce_cap
 from .errors import DomainError
 from .graphs import Graph, biconnected_components, iter_bits
@@ -77,24 +79,32 @@ def _branch_set_search(g: Graph, t: int) -> bool:
 
 
 def _smooth(g: Graph) -> Graph:
-    """Suppress degree-2 vertices until none remain or only a triangle is left."""
-    cur = g
-    while cur.n > 3:
-        v = next((u for u in range(cur.n) if cur.degree(u) == 2), None)
-        if v is None:
-            break
-        a, b = list(iter_bits(cur.adj[v]))
-        keep = [w for w in range(cur.n) if w != v]
-        pos = {w: i for i, w in enumerate(keep)}
-        nxt = Graph(cur.n - 1)
-        for x, y in cur.edges():
-            if v in (x, y):
-                continue
-            nxt.add_edge(pos[x], pos[y])
-        if not nxt.has_edge(pos[a], pos[b]):
-            nxt.add_edge(pos[a], pos[b])
-        cur = nxt
-    return cur
+    """Suppress degree-2 vertices until none remain or only a triangle is left.
+
+    Always suppresses the lowest remaining vertex of degree 2, on the
+    adjacency masks in place, and renumbers the survivors once at the end.
+    Suppressing v with neighbors a, b never raises a degree (ab replaces
+    av and bv), so the heap holds every vertex of degree 2, each pushed once
+    when it reaches 2, plus stale ones that have dropped below 2.
+    """
+    adj = list(g.adj)
+    todo = [v for v in range(g.n) if adj[v].bit_count() == 2]  # sorted: a heap
+    alive = (1 << g.n) - 1
+    n = g.n
+    while n > 3 and todo:
+        v = heappop(todo)
+        if adj[v].bit_count() != 2:
+            continue
+        a, b = iter_bits(adj[v])
+        for x, y in ((a, b), (b, a)):
+            if adj[x] >> y & 1 and adj[x].bit_count() == 3:
+                heappush(todo, x)
+            adj[x] = adj[x] & ~(1 << v) | 1 << y
+        alive ^= 1 << v
+        n -= 1
+    smoothed = Graph(g.n)
+    smoothed.adj = adj
+    return smoothed.induced(iter_bits(alive))
 
 
 def has_clique_minor(g: Graph, t: int, maxn: int | None = None) -> bool:

@@ -544,7 +544,8 @@ def levelwise_vc2(h):
 # ---------------------------------------------------------------------------
 # minor search as it was before outerplanarity became a degree-2 reduction:
 # the generic branch-set search over any pattern, with K_{2,3} among them;
-# kept verbatim so the reduction can be checked against K_4 and K_{2,3}
+# kept verbatim so the reduction can be checked against K_4 and K_{2,3}, and
+# the in-place smoothing against this one's rebuild per suppressed vertex
 
 def _connected_subsets(g: Graph, max_size: int) -> list[tuple[int, int]]:
     """All (mask, open-neighborhood-mask) of connected sets, each once."""

@@ -3,7 +3,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metriclab import hypergraphs
 from metriclab.errors import DomainError, FormatError, TooLargeError
 from metriclab.enumeration import enumerate_connected_graphs
 from metriclab.extremal import gen_line_example
@@ -186,15 +189,17 @@ def _assert_same_witnesses(h):
 def test_witnesses_match_candidate_by_candidate_search():
     # the whole (k, witness) of both searches, not just k, against a
     # levelwise search that tests every candidate X | {v} on its own
-    for g in enumerate_connected_graphs(6):
+    for g in enumerate_connected_graphs(7):
         h = distance_hypergraph(g)
         _assert_same_witnesses(h)
         _assert_same_witnesses(dual(h))
         for r in range(max(map(max, oracles.fw_distances(g))) + 1):
             _assert_same_witnesses(distance_hypergraph_fixed_radius(g, r))
-    for k in (2, 3):
+    for k in (2, 3, 4):
         g, _ = gen_line_example(k)
         _assert_same_witnesses(distance_hypergraph_fixed_radius(g, 1))
+    # the dual 2-VC input that the benchmark pins
+    _assert_same_witnesses(dual(distance_hypergraph(gen_line_example(3)[0])))
     rng = random.Random(4242)
     for i in range(500):
         n = rng.randrange(0, 11)
@@ -206,6 +211,77 @@ def test_witnesses_match_candidate_by_candidate_search():
         else:
             edges = [rng.getrandbits(n) for _ in range(rng.randrange(0, 41))]
         _assert_same_witnesses(Hypergraph(n, edges))
+
+
+def test_witnesses_at_the_ceiling_and_on_degenerate_edges():
+    # searches that stop at the ceiling: m = 2^n distinct edges shatter n
+    # vertices, m = C(k, 2) pair edges 2-shatter k of them
+    for n in range(6):
+        h = powerset_hypergraph(n)
+        assert vc_dimension(h)[0] == n
+        _assert_same_witnesses(h)
+        _assert_same_witnesses(Hypergraph(n + 2, h.edges[::-1] * 2))
+    for k in range(2, 9):
+        pairs = [1 << a | 1 << b for a, b in combinations(range(k), 2)]
+        for h in (Hypergraph(k, pairs), Hypergraph(k + 3, pairs[::-1])):
+            assert vc2_dimension(h)[0] == k
+            _assert_same_witnesses(h)
+    degenerate = [
+        Hypergraph(5, [0b10110] * 4),  # all edges equal
+        Hypergraph(4, [0]),  # only the empty edge
+        Hypergraph(4, [0, 0, 0]),
+        Hypergraph(1, [1]),  # a single vertex
+        Hypergraph(1, [0, 1, 1]),
+        Hypergraph(1, []),
+        Hypergraph(0, [0, 0]),
+    ]
+    for h in degenerate:
+        _assert_same_witnesses(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=12).flatmap(
+        lambda n: st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=60).map(
+            lambda edges: Hypergraph(n, edges)
+        )
+    ),
+    st.data(),
+)
+def test_shatter_search_matches_oracle_and_ignores_edge_order(h, data):
+    _assert_same_witnesses(h)
+    k, k2 = vc_dimension(h)[0], vc2_dimension(h)[0]
+    shuffled = data.draw(st.permutations(h.edges))
+    extra = data.draw(st.lists(st.sampled_from(h.edges), max_size=20)) if h.edges else []
+    for edges in (shuffled, shuffled + extra):
+        assert vc_dimension(Hypergraph(h.nverts, edges))[0] == k
+        assert vc2_dimension(Hypergraph(h.nverts, edges))[0] == k2
+
+
+def test_shatter_search_node_counts(monkeypatch):
+    # machine-independent regression counts: one _extensions call per node
+    # the search visits, so losing either room bound changes them on any host
+    calls = 0
+    inner = hypergraphs._extensions
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(hypergraphs, "_extensions", counting)
+
+    def nodes(run):
+        nonlocal calls
+        calls = 0
+        run()
+        return calls
+
+    g, _ = gen_line_example(3)
+    assert nodes(lambda: dual_distance_2vc(g, maxn=128)) == 1004
+    assert nodes(lambda: vc_dimension(distance_hypergraph_fixed_radius(g, 1), maxn=128)) == 93
+    pool = list(enumerate_connected_graphs(6))
+    assert nodes(lambda: [vc_dimension(distance_hypergraph(p)) for p in pool]) == 1108
 
 
 def test_sauer_shelah_on_random_traces():

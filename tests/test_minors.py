@@ -15,14 +15,16 @@ from metriclab.graphs import (
     path_graph,
     star_graph,
 )
-from metriclab.minors import has_clique_minor, is_outerplanar
+from metriclab.minors import _smooth, has_clique_minor, is_outerplanar
 
+from oracles import _smooth as reference_smooth
 from oracles import (
     has_k23_minor,
     has_minor_brute,
     random_connected_graph,
     random_graph,
     random_tree,
+    reference_has_clique_minor,
     reference_is_outerplanar,
 )
 
@@ -151,6 +153,66 @@ def test_cap_is_post_reduction():
     # a 16-vertex chorded cycle smooths down to nothing first
     big = chorded_cycle(16, 0, 8)
     assert not has_clique_minor(big, 4)
+
+
+def shuffled(rng, n, edges):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = Graph(n)
+    for u, v in edges:
+        if not g.has_edge(perm[u], perm[v]):
+            g.add_edge(perm[u], perm[v])
+    return g
+
+
+def ear_graph(rng, n, ears):
+    """A 2-connected graph on n vertices, labels shuffled: a cycle plus
+    ``ears`` paths, each joining two vertices already placed. Its block
+    smooths down to at most 2 * ears branch vertices."""
+    inner = [rng.randrange(0, 6) for _ in range(ears)]
+    edges = [(v, (v + 1) % (n - sum(inner))) for v in range(n - sum(inner))]
+    nxt = n - sum(inner)
+    for length in inner:
+        a, b = rng.sample(range(nxt), 2)
+        path = [a] + list(range(nxt, nxt + length)) + [b]
+        edges += zip(path, path[1:])
+        nxt += length
+    return shuffled(rng, n, edges)
+
+
+def subdivision(rng, base, n):
+    """base with n - base.n new vertices spread at random over its edges,
+    labels shuffled; it smooths back to base when base has min degree 3."""
+    cuts = [0] * base.m
+    for _ in range(n - base.n):
+        cuts[rng.randrange(base.m)] += 1
+    edges, nxt = [], base.n
+    for (u, v), length in zip(base.edges(), cuts):
+        path = [u] + list(range(nxt, nxt + length)) + [v]
+        edges += zip(path, path[1:])
+        nxt += length
+    return shuffled(rng, n, edges)
+
+
+def test_smoothing_long_blocks_matches_reference():
+    # blocks far longer than the pools: the in-place smoothing must give the
+    # graph of the reference's rebuild per suppressed vertex, and the answer
+    rng = random.Random(808)
+    pool = [chorded_cycle(n, 0, n // 2) for n in (30, 77, 200)]
+    for n in (30, 64, 200):
+        crossed = chorded_cycle(n, 0, n // 2)
+        crossed.add_edge(n // 4, 3 * n // 4)  # two crossing chords: a K4 minor
+        pool.append(crossed)
+    pool += [ear_graph(rng, rng.randint(30, 200), rng.randint(1, 5)) for _ in range(30)]
+    for base in (complete_graph(5), complete_graph(6), complete_bipartite(3, 3), petersen()):
+        pool += [subdivision(rng, base, rng.randint(30, 200)) for _ in range(3)]
+    for g in pool:
+        assert _smooth(g) == reference_smooth(g)
+        for t in (4, 5):
+            assert has_clique_minor(g, t) == reference_has_clique_minor(g, t)
+    for t in (4, 5):
+        assert any(has_clique_minor(g, t) for g in pool)
+        assert not all(has_clique_minor(g, t) for g in pool)
 
 
 def test_outerplanarity_has_no_cap():
