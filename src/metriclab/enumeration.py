@@ -1,12 +1,31 @@
 """Generation of all small trees and connected graphs up to isomorphism.
 
 Free trees come from the rooted level-sequence successor of Beyer and
-Hedetniemi, filtered down to center-rooted canonical sequences so that each
-free tree is emitted exactly once. Connected graphs are built level by
-level: every connected graph on n >= 2 vertices has a non-cut vertex, so
-attaching one new vertex to every nonempty neighborhood of every
-(n-1)-vertex representative reaches all of them, and an invariant-bucketed
-isomorphism scan removes the duplicates.
+Hedetniemi ("Constant time generation of rooted trees", SIAM J. Comput.
+1980). Each sequence it yields is already the greatest level sequence of
+its tree at its own root. A free tree is emitted once, as the greatest
+sequence over its center rootings, and the two tallest root branches,
+h1 >= h2 (0 for a missing branch), decide most sequences in O(n):
+
+- h1 - h2 >= 2: the first vertex of the tallest branch has eccentricity
+  at most max(h1 - 1, h2 + 1) < h1, so the root is not a center. A
+  non-center rooting never equals a center rooting (an isomorphism of
+  rooted trees would map the root to a center), so the sequence is
+  rejected.
+- h1 == h2: the diameter is 2 * h1 and the root is its midpoint, the only
+  center, so the sequence is the free canonical form and is kept.
+- h1 == h2 + 1: the root and the first vertex of its tallest branch are
+  the two centers, and the sequence is kept only if it is the greater of
+  the two center rootings (the full comparison).
+
+Connected graphs are built level by level: every connected graph on
+n >= 2 vertices has a non-cut vertex, so attaching one new vertex to every
+nonempty neighborhood of every (n-1)-vertex representative reaches all of
+them. Duplicates are removed by an exhaustive scan of the candidate's
+invariant bucket. Each candidate is color-refined once; the coloring is
+kept with the bucket member, and the scan calls the backtracking search of
+``graphs.isomorphic`` directly, since the bucket key already covers that
+function's quick rejects.
 
 Both streams are deterministic run to run and cached per order, because the
 check suites replay them many times in one process.
@@ -18,7 +37,14 @@ from typing import Iterator
 
 from .config import enforce_cap
 from .errors import DomainError
-from .graphs import Graph, is_tree, iso_invariant, isomorphic, to_graph6
+from .graphs import (
+    Graph,
+    _color_preserving_map,
+    _invariant,
+    _refined_colors,
+    is_tree,
+    to_graph6,
+)
 
 # Level sequences are 0-based depth lists in preorder: L[0] = 0 and the
 # parent of position i is the nearest j < i with L[j] == L[i] - 1.
@@ -115,17 +141,40 @@ def free_tree_key(g: Graph) -> tuple[int, ...]:
 _tree_cache: dict[int, list[Graph]] = {}
 
 
+def _root_branch_heights(seq: list[int]) -> tuple[int, int]:
+    """The two tallest branch heights at the root, h1 >= h2 (0 if absent)."""
+    h1 = h2 = top = 0
+    for depth in seq[1:]:
+        if depth == 1:
+            # a new branch starts: fold the finished one into h1, h2
+            if top > h1:
+                h1, h2 = top, h1
+            elif top > h2:
+                h2 = top
+            top = 1
+        elif depth > top:
+            top = depth
+    if top > h1:
+        return top, h1
+    return h1, max(h2, top)
+
+
 def _free_trees_exact(n: int) -> list[Graph]:
     if n not in _tree_cache:
         out = []
         for seq in _rooted_level_sequences(n):
             # keep the sequence only when it is the free-tree canonical
-            # form, i.e. the greatest sequence over center rootings
+            # form, i.e. the greatest sequence over center rootings (the
+            # three cases are argued in the module docstring)
+            h1, h2 = _root_branch_heights(seq)
+            if h1 - h2 >= 2:
+                continue
             adj = _adjacency_from_sequence(seq)
-            if tuple(seq) == _free_canonical(adj):
-                out.append(
-                    Graph.from_edges(n, ((u, v) for u, nb in enumerate(adj) for v in nb if u < v))
-                )
+            if h1 == h2 + 1 and tuple(seq) != _free_canonical(adj):
+                continue
+            out.append(
+                Graph.from_edges(n, ((u, v) for u, nb in enumerate(adj) for v in nb if u < v))
+            )
         _tree_cache[n] = out
     return _tree_cache[n]
 
@@ -157,7 +206,7 @@ def _connected_exact(n: int) -> list[Graph]:
     if n == 1:
         level = [Graph(1)]
     else:
-        buckets: dict[tuple, list[Graph]] = {}
+        buckets: dict[tuple, list[tuple[Graph, tuple[int, ...]]]] = {}
         order: list[Graph] = []
         for base in _connected_exact(n - 1):
             for mask in range(1, 1 << (n - 1)):
@@ -167,11 +216,11 @@ def _connected_exact(n: int) -> list[Graph]:
                 for v in range(n - 1):
                     if mask >> v & 1:
                         g.adj[v] |= 1 << (n - 1)
-                bucket = buckets.setdefault(iso_invariant(g), [])
-                # cap n (not the config default) so env overrides cannot
-                # break the internal dedup; the scan is exhaustive anyway
-                if not any(isomorphic(g, h, maxn=n) for h in bucket):
-                    bucket.append(g)
+                # one refinement per candidate, kept with the bucket member
+                colors = _refined_colors(g)
+                bucket = buckets.setdefault(_invariant(g, colors), [])
+                if not any(_color_preserving_map(g, colors, h, hc) for h, hc in bucket):
+                    bucket.append((g, colors))
                     order.append(g)
         level = sorted(order, key=to_graph6)
     _conn_cache[n] = level

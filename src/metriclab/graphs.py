@@ -430,12 +430,16 @@ def _refined_colors(g: Graph) -> tuple[int, ...]:
         colors = new
 
 
-def iso_invariant(g: Graph) -> tuple:
-    """Cheap isomorphism-invariant key for bucketing before exact checks."""
+def _invariant(g: Graph, colors: tuple[int, ...]) -> tuple:
     triangles = sum(
         (g.adj[u] & g.adj[v]).bit_count() for u, v in g.edges()
     ) // 3
-    return (g.n, g.m, g.degree_sequence(), tuple(sorted(_refined_colors(g))), triangles)
+    return (g.n, g.m, g.degree_sequence(), tuple(sorted(colors)), triangles)
+
+
+def iso_invariant(g: Graph) -> tuple:
+    """Cheap isomorphism-invariant key for bucketing before exact checks."""
+    return _invariant(g, _refined_colors(g))
 
 
 def isomorphic(g: Graph, h: Graph, maxn: int | None = None) -> bool:
@@ -449,7 +453,12 @@ def isomorphic(g: Graph, h: Graph, maxn: int | None = None) -> bool:
     if sorted(cg) != sorted(ch):
         return False
     enforce_cap(g.n, maxn, "iso_n", "isomorphism: n={n} exceeds cap {cap}")
+    return _color_preserving_map(g, cg, h, ch)
 
+
+def _color_preserving_map(g: Graph, cg: tuple[int, ...], h: Graph, ch: tuple[int, ...]) -> bool:
+    """Backtracking search for an isomorphism g -> h that keeps the refined
+    colors; the caller has checked that the two color multisets agree."""
     by_color: dict[int, list[int]] = {}
     for w, c in enumerate(ch):
         by_color.setdefault(c, []).append(w)

@@ -356,6 +356,8 @@ def _suite_prop10(checks, nmax, seed, corpus):
 
 def _suite_sauer_shelah(checks, nmax, seed, corpus):
     nmax = 12 if nmax is None else nmax
+    if nmax < 1:
+        raise DomainError("nmax must be at least 1")
     seed = 1729 if seed is None else seed
     count, x_per = 500, 20
     rng = random.Random(seed)

@@ -8,8 +8,20 @@ agreement between the two is meaningful evidence.
 import itertools
 
 from metriclab.config import enforce_cap
+from metriclab.enumeration import (
+    _adjacency_from_sequence,
+    _free_canonical,
+    _rooted_level_sequences,
+)
 from metriclab.errors import DomainError
-from metriclab.graphs import Graph, biconnected_components, iter_bits
+from metriclab.graphs import (
+    Graph,
+    biconnected_components,
+    iso_invariant,
+    isomorphic,
+    iter_bits,
+    to_graph6,
+)
 
 INF = float("inf")
 
@@ -691,3 +703,61 @@ def has_k23_minor(g: Graph, maxn: int | None = None) -> bool:
 def reference_is_outerplanar(g, maxn=None):
     """No K_4 minor and no K_{2,3} minor."""
     return not reference_has_clique_minor(g, 4, maxn=maxn) and not has_k23_minor(g, maxn=maxn)
+
+
+# ---------------------------------------------------------------------------
+# enumeration: the plain filters, with no center test and no stored colorings
+# (every rooted sequence is compared over all center rootings; every candidate
+# is refined again by each isomorphism check)
+
+
+_reference_tree_cache: dict = {}
+
+
+def reference_free_trees(n):
+    """Free trees on n vertices, in the order enumerate_trees gives them."""
+    if n not in _reference_tree_cache:
+        out = []
+        for seq in _rooted_level_sequences(n):
+            # keep the sequence only when it is the free-tree canonical
+            # form, i.e. the greatest sequence over center rootings
+            adj = _adjacency_from_sequence(seq)
+            if tuple(seq) == _free_canonical(adj):
+                out.append(
+                    Graph.from_edges(n, ((u, v) for u, nb in enumerate(adj) for v in nb if u < v))
+                )
+        _reference_tree_cache[n] = out
+    return _reference_tree_cache[n]
+
+
+_reference_conn_cache: dict = {}
+
+
+def reference_connected_graphs(n):
+    """Connected graphs on n vertices, in the order enumerate_connected_graphs
+    gives them: one-vertex extensions of the (n-1)-vertex level, deduplicated
+    by a scan of the invariant bucket with the public isomorphism check."""
+    if n in _reference_conn_cache:
+        return _reference_conn_cache[n]
+    if n == 1:
+        level = [Graph(1)]
+    else:
+        buckets: dict = {}
+        order = []
+        for base in reference_connected_graphs(n - 1):
+            for mask in range(1, 1 << (n - 1)):
+                g = Graph(n)
+                g.adj[: n - 1] = base.adj
+                g.adj[n - 1] = mask
+                for v in range(n - 1):
+                    if mask >> v & 1:
+                        g.adj[v] |= 1 << (n - 1)
+                bucket = buckets.setdefault(iso_invariant(g), [])
+                # cap n (not the config default) so env overrides cannot
+                # break the internal dedup; the scan is exhaustive anyway
+                if not any(isomorphic(g, h, maxn=n) for h in bucket):
+                    bucket.append(g)
+                    order.append(g)
+        level = sorted(order, key=to_graph6)
+    _reference_conn_cache[n] = level
+    return level

@@ -216,6 +216,13 @@ def test_usage_errors(cli):
     assert cli(["--help"])[0] == 0
 
 
+@pytest.mark.parametrize("suite", ["sauer_shelah", "prop8"])
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+def test_verify_rejects_empty_order_range(cli, suite, nmax):
+    code, out, err = cli(["verify", suite, "--nmax", nmax])
+    assert code == 2 and out == "" and "nmax must be at least 1" in err
+
+
 def test_size_cap_exit_code(cli):
     code, out, err = cli(["solve", "md", "--maxn", "3"], stdin_text="IheA@GUAo\n")
     assert code == 3 and out == "" and "cap" in err

@@ -30,11 +30,14 @@ from oracles import (
     free_tree_canonical,
     perm_isomorphic,
     random_tree,
+    reference_connected_graphs,
+    reference_free_trees,
     tree_from_pruefer,
 )
 
 # Published reference rows (free trees, rooted trees, connected graphs).
-FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+# OEIS A000055 to n=16, the tree enumeration cap
+FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
 ROOTED_TREE_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842]
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
 
@@ -50,9 +53,25 @@ def by_order(graphs):
 
 
 def test_tree_counts_match_published_row():
-    pool = by_order(enumerate_trees(12))
-    assert [len(pool[n]) for n in range(1, 13)] == FREE_TREE_COUNTS
-    assert sum(len(v) for v in pool.values()) == 987
+    pool = by_order(enumerate_trees(16))
+    assert [len(pool[n]) for n in range(1, 17)] == FREE_TREE_COUNTS
+    assert sum(len(v) for v in pool.values()) == 32508
+
+
+def adjacency(graphs):
+    return [[sorted(g.neighbors(v)) for v in range(g.n)] for g in graphs]
+
+
+def test_trees_match_reference_filter_in_order():
+    pool = by_order(enumerate_trees(13))
+    for n in range(1, 14):
+        assert adjacency(pool[n]) == adjacency(reference_free_trees(n))
+
+
+def test_connected_graphs_match_reference_scan_in_order():
+    pool = by_order(enumerate_connected_graphs(7))
+    for n in range(1, 8):
+        assert adjacency(pool[n]) == adjacency(reference_connected_graphs(n))
 
 
 def test_rooted_sequence_counts():
