@@ -15,8 +15,9 @@ h1 >= h2 (0 for a missing branch), decide most sequences in O(n):
 - h1 == h2: the diameter is 2 * h1 and the root is its midpoint, the only
   center, so the sequence is the free canonical form and is kept.
 - h1 == h2 + 1: the root and the first vertex of its tallest branch are
-  the two centers, and the sequence is kept only if it is the greater of
-  the two center rootings (the full comparison).
+  the two centers. The root's rooting is the sequence itself, so it is
+  kept only if no smaller than the canonical sequence rooted at the other
+  center (one canonisation, not a leaf stripping and two).
 
 Connected graphs are built level by level: every connected graph on
 n >= 2 vertices has a non-cut vertex, so attaching one new vertex to every
@@ -141,22 +142,25 @@ def free_tree_key(g: Graph) -> tuple[int, ...]:
 _tree_cache: dict[int, list[Graph]] = {}
 
 
-def _root_branch_heights(seq: list[int]) -> tuple[int, int]:
-    """The two tallest branch heights at the root, h1 >= h2 (0 if absent)."""
-    h1 = h2 = top = 0
-    for depth in seq[1:]:
+def _root_branch_heights(seq: list[int]) -> tuple[int, int, int]:
+    """The two tallest branch heights at the root, h1 >= h2 (0 if absent),
+    and the position c of the first vertex of the first branch of height h1
+    (0 for the one-vertex tree)."""
+    h1 = h2 = top = c = start = 0
+    for i in range(1, len(seq)):
+        depth = seq[i]
         if depth == 1:
             # a new branch starts: fold the finished one into h1, h2
             if top > h1:
-                h1, h2 = top, h1
+                h1, h2, c = top, h1, start
             elif top > h2:
                 h2 = top
-            top = 1
+            top, start = 1, i
         elif depth > top:
             top = depth
     if top > h1:
-        return top, h1
-    return h1, max(h2, top)
+        return top, h1, start
+    return h1, max(h2, top), c
 
 
 def _free_trees_exact(n: int) -> list[Graph]:
@@ -166,11 +170,11 @@ def _free_trees_exact(n: int) -> list[Graph]:
             # keep the sequence only when it is the free-tree canonical
             # form, i.e. the greatest sequence over center rootings (the
             # three cases are argued in the module docstring)
-            h1, h2 = _root_branch_heights(seq)
+            h1, h2, c = _root_branch_heights(seq)
             if h1 - h2 >= 2:
                 continue
             adj = _adjacency_from_sequence(seq)
-            if h1 == h2 + 1 and tuple(seq) != _free_canonical(adj):
+            if h1 == h2 + 1 and tuple(seq) < _canonical_from(adj, c):
                 continue
             out.append(
                 Graph.from_edges(n, ((u, v) for u, nb in enumerate(adj) for v in nb if u < v))
@@ -198,13 +202,15 @@ def enumerate_trees(n_max: int, maxn: int | None = None) -> Iterator[Graph]:
 
 
 _conn_cache: dict[int, list[Graph]] = {}
+# the graph6 code of each graph in _conn_cache, in the same order
+_conn_codes: dict[int, list[str]] = {}
 
 
 def _connected_exact(n: int) -> list[Graph]:
     if n in _conn_cache:
         return _conn_cache[n]
     if n == 1:
-        level = [Graph(1)]
+        level, codes = [Graph(1)], ["@"]
     else:
         buckets: dict[tuple, list[tuple[Graph, tuple[int, ...]]]] = {}
         order: list[Graph] = []
@@ -222,9 +228,21 @@ def _connected_exact(n: int) -> list[Graph]:
                 if not any(_color_preserving_map(g, colors, h, hc) for h, hc in bucket):
                     bucket.append((g, colors))
                     order.append(g)
-        level = sorted(order, key=to_graph6)
+        coded = sorted(zip(map(to_graph6, order), order), key=lambda cg: cg[0])
+        codes, level = [c for c, _ in coded], [g for _, g in coded]
     _conn_cache[n] = level
+    _conn_codes[n] = codes
     return level
+
+
+def _connected_graph6(n_max: int) -> list[str]:
+    """The graph6 codes of enumerate_connected_graphs(n_max), in its order:
+    the enumeration encodes every graph to sort it, so they cost nothing."""
+    codes = []
+    for n in range(1, n_max + 1):
+        _connected_exact(n)
+        codes.extend(_conn_codes[n])
+    return codes
 
 
 def enumerate_connected_graphs(n_max: int, maxn: int | None = None) -> Iterator[Graph]:

@@ -204,7 +204,14 @@ def eccentricities(g: Graph) -> list[int]:
 def diameter(g: Graph) -> int:
     if g.n == 0:
         raise DomainError("diameter of the empty graph is undefined")
-    return max(eccentricities(g))
+    if g.m != g.n - 1:
+        return max(eccentricities(g))
+    if not is_connected(g):
+        raise DomainError("eccentricities need a connected graph")
+    # a tree: a vertex farthest from any vertex ends a longest path, so two
+    # sweeps suffice (the double sweep)
+    dist = bfs_distances(g, 0)
+    return max(bfs_distances(g, dist.index(max(dist))))
 
 
 def is_tree(g: Graph) -> bool:

@@ -17,6 +17,23 @@ max_ratio (six decimals) and max_ratio_instance.
 Connected-graph pools beyond the built-in enumeration (n > 7) must come
 from an ingested graph6 corpus file; the harness refuses to sample rather
 than silently shrinking a sweep.
+
+The seven connected-graph suites (mdvstc_sandwich, prop8, prop10,
+thm14_minor, outerplanar_bound, treedec_bound, chordal_obs) take every
+measurement of a graph once per process and share it through the instance
+table: one record per graph, keyed by the graph's graph6 code, kept for
+the life of the process. A corpus line read again by a later run_suite call
+finds the record an earlier call made. A record holds scalars only: the
+graph6 code, diameter, metric dimension, test-cover number, vc of the ball
+hypergraph and of its dual, the dual's 2-vc, chordality, outerplanarity,
+and the width and length of the suite's tree decomposition. Each is taken
+on first use and stored only once the solver has returned, that is after
+its own certificate check, so a failing check raises and leaves nothing
+behind. The ball hypergraph, its dual and the decomposition are never
+stored: a suite builds each at most once per graph and drops it with the
+graph, and the distance matrix behind the ball hypergraph fills in the
+diameter. The tree and generator suites measure their instances directly
+and make no records.
 """
 
 from __future__ import annotations
@@ -31,13 +48,18 @@ import time
 from dataclasses import asdict, dataclass
 
 from .bounds import bound_outerplanar, bound_tc_vc, bound_tree, bound_treedec
-from .enumeration import enumerate_connected_graphs, enumerate_trees, free_tree_key
+from .enumeration import (
+    _connected_graph6,
+    enumerate_connected_graphs,
+    enumerate_trees,
+    free_tree_key,
+)
 from .errors import DomainError, FormatError
 from .extremal import gen_grid_chain, gen_hs, gen_l, gen_line_example, gen_o, hs_order
 from .graphs import Graph, diameter, is_chordal, is_connected, is_tree, parse_graph6, to_graph6
 from .hypergraphs import (
     Hypergraph,
-    distance_hypergraph,
+    _distance_hypergraph,
     distance_hypergraph_fixed_radius,
     dual,
     dual_distance_2vc,
@@ -154,14 +176,140 @@ class _Checks:
 
 
 # ---------------------------------------------------------------------------
+# the instance table of the connected-graph suites
+
+
+class _Record:
+    """The measurements of one connected graph, each None until taken."""
+
+    __slots__ = (
+        "gid", "diam", "md", "tc", "vc_star", "dvc", "d2vc",
+        "chordal", "outerplanar", "width", "length",
+    )
+
+    def __init__(self, gid: str) -> None:
+        self.gid = gid
+        self.diam = self.md = self.tc = self.vc_star = self.dvc = self.d2vc = None
+        self.chordal = self.outerplanar = self.width = self.length = None
+
+
+# graph6 code -> record, for the life of the process
+_TABLE: dict[str, _Record] = {}
+
+
+def _record(gid: str) -> _Record:
+    """The record of the graph whose graph6 code is gid, made on first sight."""
+    rec = _TABLE.get(gid)
+    if rec is None:
+        rec = _TABLE[gid] = _Record(gid)
+    return rec
+
+
+def _clear_instances() -> None:
+    """Forget every measurement; the next suite takes each one afresh."""
+    _TABLE.clear()
+
+
+def _measure(take):
+    """A property read from the graph's record, taken and stored on first use."""
+    slot = take.__name__
+
+    def get(self):
+        value = getattr(self.rec, slot)
+        if value is None:
+            value = take(self)
+            setattr(self.rec, slot, value)
+        return value
+
+    return property(get)
+
+
+class _Instance:
+    """One pool graph as one suite reads it: the graph, its record, and the
+    ball hypergraph and decomposition, built at most once and only when a
+    missing measurement needs them. Take a fresh one per graph (see
+    ``_instances``) so that those two go when the suite moves on."""
+
+    __slots__ = ("g", "rec", "_balls", "_td")
+
+    def __init__(self, rec: _Record, g: Graph) -> None:
+        self.g, self.rec, self._balls, self._td = g, rec, None, None
+
+    @property
+    def gid(self) -> str:
+        return self.rec.gid
+
+    def balls(self) -> Hypergraph:
+        if self._balls is None:
+            self._balls, d = _distance_hypergraph(self.g)
+            if self.rec.diam is None:
+                self.rec.diam = d
+        return self._balls
+
+    def decomposition(self):
+        """Clique tree when chordal, else an exact-treewidth decomposition."""
+        if self._td is None:
+            self._td = clique_tree(self.g) if self.chordal else treewidth_exact(self.g)[1]
+        return self._td
+
+    @_measure
+    def diam(self):
+        return diameter(self.g)
+
+    @_measure
+    def md(self):
+        return metric_dimension_exact(self.g, maxn=SOLVER_CAP).dimension
+
+    @_measure
+    def tc(self):
+        return len(min_test_cover(self.balls(), maxn=SOLVER_CAP))
+
+    @_measure
+    def vc_star(self):
+        return vc_dimension(dual(self.balls()), maxn=SOLVER_CAP)[0]
+
+    @_measure
+    def dvc(self):
+        return vc_dimension(self.balls(), maxn=SOLVER_CAP)[0]
+
+    @_measure
+    def d2vc(self):
+        return dual_distance_2vc(self.g, maxn=SOLVER_CAP)
+
+    @_measure
+    def chordal(self):
+        return is_chordal(self.g)
+
+    @_measure
+    def outerplanar(self):
+        return is_outerplanar(self.g)
+
+    @_measure
+    def width(self):
+        # reduce keeps the width, so it is read before reducing
+        return width(self.decomposition())
+
+    @_measure
+    def length(self):
+        return length(reduce_decomposition(self.decomposition()))
+
+
+def _instances(pool: list[tuple[_Record, Graph]]):
+    """A fresh _Instance per pool graph, in pool order."""
+    return (_Instance(rec, g) for rec, g in pool)
+
+
+# ---------------------------------------------------------------------------
 # instance pools
 
 
-def _connected_pool(nmax: int, corpus: str | None) -> list[Graph]:
-    """Built-in enumeration to n=7, corpus levels beyond; never sampled."""
+def _connected_pool(nmax: int, corpus: str | None) -> list[tuple[_Record, Graph]]:
+    """Built-in enumeration to n=7, corpus levels beyond; never sampled.
+    Each graph comes with its record in the instance table."""
     if nmax < 1:
         raise DomainError("nmax must be at least 1")
-    pool = list(enumerate_connected_graphs(min(nmax, 7)))
+    graphs = list(enumerate_connected_graphs(min(nmax, 7)))
+    pool = list(zip(map(_record, _connected_graph6(min(nmax, 7))), graphs))
     if nmax <= 7:
         return pool
     if corpus is None:
@@ -173,7 +321,7 @@ def _connected_pool(nmax: int, corpus: str | None) -> list[Graph]:
             lines = [line.strip() for line in fp if line.strip()]
     except OSError as exc:
         raise FormatError(f"cannot read corpus {corpus}: {exc}") from exc
-    by_order: dict[int, list[Graph]] = {}
+    by_order: dict[int, list[tuple[_Record, Graph]]] = {}
     seen: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
         g = parse_graph6(line)
@@ -182,7 +330,9 @@ def _connected_pool(nmax: int, corpus: str | None) -> list[Graph]:
         seen.add(line)
         if not is_connected(g):
             raise FormatError(f"{corpus}:{lineno}: graph is not connected")
-        by_order.setdefault(g.n, []).append(g)
+        # a line in the table is its graph's own code; any other is encoded
+        rec = _TABLE.get(line) or _record(to_graph6(g))
+        by_order.setdefault(g.n, []).append((rec, g))
     for n in range(8, nmax + 1):
         if n not in by_order:
             raise DomainError(f"corpus {corpus} has no graphs of order {n}")
@@ -290,11 +440,10 @@ def _suite_mdvstc(checks, nmax, seed, corpus):
     nmax = 7 if nmax is None else nmax
     pool = _connected_pool(nmax, corpus)
     gap, gap_id = -1, ""
-    for g in pool:
-        gid = to_graph6(g)
-        d = diameter(g)
-        k = _md(g)
-        tc = len(min_test_cover(distance_hypergraph(g), maxn=SOLVER_CAP))
+    for inst in _instances(pool):
+        gid = inst.gid
+        tc = inst.tc  # first: its distance matrix gives the diameter
+        d, k = inst.diam, inst.md
         checks.claim(k <= tc, gid, "md <= TC", k, tc, f"d={d}")
         # multiplied form of (TC-1)/d <= md, exact in integers and safe at d=0
         sandwich = "TC - 1 <= md * diameter"
@@ -308,14 +457,12 @@ def _suite_mdvstc(checks, nmax, seed, corpus):
 def _suite_prop8(checks, nmax, seed, corpus):
     nmax = 7 if nmax is None else nmax
     pool = _connected_pool(nmax, corpus)
-    for g in pool:
-        gid = to_graph6(g)
-        h = distance_hypergraph(g)
-        tc = len(min_test_cover(h, maxn=SOLVER_CAP))
-        vcstar = vc_dimension(dual(h), maxn=SOLVER_CAP)[0]
+    for inst in _instances(pool):
+        gid, n = inst.gid, inst.g.n
+        tc, vcstar = inst.tc, inst.vc_star
         b = bound_tc_vc(tc, vcstar)
-        checks.claim(g.n <= b, gid, "n <= TC^vc* + 1", g.n, b, f"tc={tc} vc*={vcstar}")
-        checks.ratio(gid, g.n, b)
+        checks.claim(n <= b, gid, "n <= TC^vc* + 1", n, b, f"tc={tc} vc*={vcstar}")
+        checks.ratio(gid, n, b)
     config = _with_corpus({"nmax": nmax, "solver_cap": SOLVER_CAP}, corpus)
     return len(pool), config, checks.max_ratio()
 
@@ -325,15 +472,12 @@ def _suite_prop10(checks, nmax, seed, corpus):
     pool = _connected_pool(nmax, corpus)
     checked = 0
     repaired_failures = 0
-    for g in pool:
-        h = distance_hypergraph(g)
-        dvc = vc_dimension(h, maxn=SOLVER_CAP)[0]
+    for inst in _instances(pool):
+        dvc = inst.dvc
         if dvc < 2:
             continue
         checked += 1
-        gid = to_graph6(g)
-        d = diameter(g)
-        dstar = vc_dimension(dual(h), maxn=SOLVER_CAP)[0]
+        gid, d, dstar = inst.gid, inst.diam, inst.vc_star
         left = (dvc - math.log2(d)) / math.log2(dvc)
         quoted = "(dvc - log2 d)/log2 dvc <= dvc*"
         checks.claim(left <= dstar + 1e-9, gid, quoted, f"{left:.9f}", dstar, f"d={d} dvc={dvc}")
@@ -384,12 +528,13 @@ def _suite_thm14_minor(checks, nmax, seed, corpus):
     nmax = 7 if nmax is None else nmax
     pool = _connected_pool(nmax, corpus)
     hist: dict[int, int] = {}
-    for g in pool:
-        t = dual_distance_2vc(g, maxn=SOLVER_CAP)
+    for inst in _instances(pool):
+        t = inst.d2vc
         hist[t] = hist.get(t, 0) + 1
         t_cap = min(t, 5)
         claim = "dual 2-vc forces a clique minor"
-        checks.claim(has_clique_minor(g, t_cap), g, claim, f"no K_{t_cap} minor", f"d2vc={t}")
+        holds = has_clique_minor(inst.g, t_cap)
+        checks.claim(holds, inst.gid, claim, f"no K_{t_cap} minor", f"d2vc={t}")
     config = _with_corpus({"nmax": nmax, "clique_order_cap": 5}, corpus)
     extras = {"d2vc_histogram": {str(v): hist[v] for v in sorted(hist)}}
     return len(pool), config, extras
@@ -409,14 +554,17 @@ def _o_family(ks):
 
 def _suite_outerplanar_bound(checks, nmax, seed, corpus):
     nmax = 7 if nmax is None else nmax
-    pool = [(to_graph6(g), g) for g in _connected_pool(nmax, corpus) if is_outerplanar(g)]
-    members = pool + [(tag, g) for tag, g, _ in _o_family(range(2, 5))]
-    for gid, g in members:
-        d = max(diameter(g), 1)
-        k = max(_md(g), 1)
+    pool = _connected_pool(nmax, corpus)
+    members = [(inst.gid, inst) for inst in _instances(pool) if inst.outerplanar]
+    for tag, g, _ in _o_family(range(2, 5)):
+        members.append((tag, _Instance(_record(to_graph6(g)), g)))
+    for name, inst in members:
+        n = inst.g.n
+        d = max(inst.diam, 1)
+        k = max(inst.md, 1)
         b = bound_outerplanar(d, k)
-        checks.claim(g.n <= b, gid, "order <= outerplanar bound", g.n, b, f"d={d} k={k}")
-        checks.ratio(gid, g.n, b)
+        checks.claim(n <= b, name, "order <= outerplanar bound", n, b, f"d={d} k={k}")
+        checks.ratio(name, n, b)
     config = _with_corpus(
         {"nmax": nmax, "generated_d": "2..8", "generated_k": "2..4", "solver_cap": SOLVER_CAP},
         corpus,
@@ -428,21 +576,16 @@ def _suite_treedec_bound(checks, nmax, seed, corpus):
     nmax = 7 if nmax is None else nmax
     pool = _connected_pool(nmax, corpus)
     chordal_count = 0
-    for g in pool:
-        gid = to_graph6(g)
-        if is_chordal(g):
-            chordal_count += 1
-            td = clique_tree(g)
-        else:
-            td = treewidth_exact(g)[1]
-        td = reduce_decomposition(td)
-        w, ell = width(td), length(td)
-        d = max(diameter(g), 1)
-        k = max(_md(g), 1)
+    for inst in _instances(pool):
+        gid, n = inst.gid, inst.g.n
+        chordal_count += inst.chordal
+        w, ell = inst.width, inst.length
+        d = max(inst.diam, 1)
+        k = max(inst.md, 1)
         b = bound_treedec(d, k, max(w, 1), ell)
         witness = f"d={d} k={k} w={w} len={ell}"
-        checks.claim(g.n <= b, gid, "n <= decomposition bound", g.n, b, witness)
-        checks.ratio(gid, g.n, b)
+        checks.claim(n <= b, gid, "n <= decomposition bound", n, b, witness)
+        checks.ratio(gid, n, b)
     config = _with_corpus(
         {"nmax": nmax, "decomposition": "clique tree when chordal, else exact treewidth, reduced"},
         corpus,
@@ -452,15 +595,17 @@ def _suite_treedec_bound(checks, nmax, seed, corpus):
 
 def _suite_chordal_obs(checks, nmax, seed, corpus):
     nmax = 7 if nmax is None else nmax
-    pool = [g for g in _connected_pool(nmax, corpus) if is_chordal(g)]
-    max_w = 0
-    for g in pool:
-        w = width(clique_tree(g))
-        k = _md(g)
+    chordal_count, max_w = 0, 0
+    for inst in _instances(_connected_pool(nmax, corpus)):
+        if not inst.chordal:
+            continue
+        chordal_count += 1
+        w = inst.width  # of the clique tree
+        k = inst.md
         max_w = max(max_w, w)
-        checks.claim(w <= 3**k, g, "treewidth <= 3^md", w, 3**k, f"k={k}")
+        checks.claim(w <= 3**k, inst.gid, "treewidth <= 3^md", w, 3**k, f"k={k}")
     config = _with_corpus({"nmax": nmax, "solver_cap": SOLVER_CAP}, corpus)
-    return len(pool), config, {"max_width": max_w}
+    return chordal_count, config, {"max_width": max_w}
 
 
 # ---------------------------------------------------------------------------

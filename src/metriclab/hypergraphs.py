@@ -202,6 +202,10 @@ def _extensions(cols: list[int], cand: int, groups, pairs_only: bool) -> tuple[i
     """
     ext = 0
     if not pairs_only:
+        # room 0 means a group of one edge, which no w splits
+        room = min(map(int.bit_count, groups)).bit_length() - 1
+        if not room:
+            return 0, 0
         while cand:
             w = cand & -cand
             cand ^= w
@@ -211,8 +215,13 @@ def _extensions(cols: list[int], cand: int, groups, pairs_only: bool) -> tuple[i
                     break
             else:
                 ext |= w
-        return ext, min(map(int.bit_count, groups)).bit_length() - 1
+        return ext, room
     zero, singles, pairs = groups
+    room = (1 + isqrt(1 + 8 * zero.bit_count())) // 2  # largest j, C(j, 2) <= |group 0|
+    room = min(room, min(map(int.bit_count, singles), default=room))
+    # room 0 means an empty group {a}, which no w fills
+    if not room:
+        return 0, 0
     while cand:
         w = cand & -cand
         cand ^= w
@@ -226,8 +235,7 @@ def _extensions(cols: list[int], cand: int, groups, pairs_only: bool) -> tuple[i
                     break
             else:
                 ext |= w
-    room = (1 + isqrt(1 + 8 * zero.bit_count())) // 2  # largest j, C(j, 2) <= |group 0|
-    return ext, min(room, min(map(int.bit_count, singles), default=room))
+    return ext, room
 
 
 def _split(groups, cv: int, pairs_only: bool):
@@ -369,8 +377,15 @@ def distance_hypergraph(g: Graph) -> Hypergraph:
     Edge order: radius outer loop, center inner; each kept edge is labeled
     by its first (center, radius) representative.
     """
-    first = _first_centers(_balls(all_distances(g)))
-    return Hypergraph(g.n, list(first), [f"B({v},{r})" for v, r in first.values()])
+    return _distance_hypergraph(g)[0]
+
+
+def _distance_hypergraph(g: Graph) -> tuple[Hypergraph, int]:
+    """distance_hypergraph(g) and the diameter of g, from one distance matrix."""
+    balls = _balls(all_distances(g))
+    first = _first_centers(balls)
+    h = Hypergraph(g.n, list(first), [f"B({v},{r})" for v, r in first.values()])
+    return h, len(balls) - 1
 
 
 def distance_hypergraph_fixed_radius(g: Graph, radius: int) -> Hypergraph:

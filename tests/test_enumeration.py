@@ -192,6 +192,11 @@ def test_enumeration_is_deterministic_across_cache_resets():
         enumeration._conn_cache.update(saved_c)
 
 
+def test_connected_graph6_codes_follow_the_stream():
+    graphs = list(enumerate_connected_graphs(7))
+    assert enumeration._connected_graph6(7) == [to_graph6(g) for g in graphs]
+
+
 def test_shipped_corpus_shape():
     lines = CORPUS.read_text().splitlines()
     assert len(lines) == CORPUS_N8_COUNT

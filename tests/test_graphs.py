@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from metriclab.enumeration import enumerate_trees
 from metriclab.errors import DomainError, FormatError, TooLargeError
+from metriclab.extremal import gen_hs
 from metriclab.graphs import (
     MAX_VERTICES,
     Graph,
@@ -67,11 +69,26 @@ def test_distance_examples():
     assert eccentricities(path_graph(4)) == [3, 2, 2, 3]
 
 
+def test_tree_diameter_double_sweep_matches_eccentricities():
+    trees = list(enumerate_trees(12))
+    for d in range(2, 10):
+        for k in (2, 3, 4):
+            for a in [None] if d % 2 == 0 else range(0, k + 1):
+                trees.append(gen_hs(d, k, a)[0])
+    rng = random.Random(5)
+    trees += [t.relabeled(rng.sample(range(t.n), t.n)) for t in trees[-40:]]
+    for t in trees:
+        assert diameter(t) == max(eccentricities(t)), to_graph6(t)
+
+
 def test_diameter_needs_connected():
     g = Graph(4)
     g.add_edge(0, 1)
     with pytest.raises(DomainError):
         diameter(g)
+    # as many edges as a tree on 4 vertices, but a triangle and a loner
+    with pytest.raises(DomainError):
+        diameter(Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)]))
 
 
 def test_components_and_connectivity():

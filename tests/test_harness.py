@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from metriclab import harness
 from metriclab.errors import DomainError, FormatError
 from metriclab.graphs import Graph, to_graph6
 from metriclab.harness import Failure, SuiteReport, run_suite, suite_names
@@ -95,6 +97,48 @@ def test_connected_suites_on_corpus_shard_match_golden(tmp_path):
         r = run_suite(name, nmax=8, corpus=shard)
         assert r.config["corpus"] == shard
         assert canonical(golden_doc(r)) == canonical(frozen[name]), name
+
+
+def test_instance_table_measures_each_graph_once(tmp_path, monkeypatch):
+    shard = write_shard(tmp_path / "shard.g6")
+    frozen = golden("nmax8_shard")
+    calls: dict[str, Counter] = {}
+
+    def count(name, key):
+        solver = getattr(harness, name)
+
+        def counted(x, *args, **kwargs):
+            calls.setdefault(name, Counter())[key(x)] += 1
+            return solver(x, *args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+
+    for name in ("metric_dimension_exact", "dual_distance_2vc", "treewidth_exact"):
+        count(name, to_graph6)
+    # a test cover is solved on the ball hypergraph, named by its edges
+    count("min_test_cover", lambda h: (h.nverts, tuple(h.edges)))
+    for order in (CONNECTED_SUITES, CONNECTED_SUITES[::-1]):
+        harness._clear_instances()
+        calls.clear()
+        for name in order:
+            r = run_suite(name, nmax=8, corpus=shard)
+            assert canonical(golden_doc(r)) == canonical(frozen[name]), (order[0], name)
+        assert set(calls) == {"metric_dimension_exact", "dual_distance_2vc",
+                              "treewidth_exact", "min_test_cover"}
+        for name, per_graph in calls.items():
+            assert max(per_graph.values()) == 1, (order[0], name)
+        assert sum(calls["min_test_cover"].values()) <= len(harness._TABLE)
+        # the records hold scalars only
+        for rec in harness._TABLE.values():
+            for slot in rec.__slots__:
+                assert type(getattr(rec, slot)) in (int, bool, str, type(None)), slot
+
+
+def test_tree_and_generator_suites_make_no_records():
+    harness._clear_instances()
+    run_suite("tree_bound", nmax=8)
+    run_suite("grid_chain", nmax=2)
+    assert harness._TABLE == {}
 
 
 def test_unknown_suite():
@@ -188,7 +232,11 @@ def zeroed(report: SuiteReport) -> str:
 
 def test_reports_are_deterministic():
     assert zeroed(run_suite("tree_bound", nmax=9)) == zeroed(run_suite("tree_bound", nmax=9))
-    assert zeroed(run_suite("prop10", nmax=5)) == zeroed(run_suite("prop10", nmax=5))
+    # two fresh computations, not one read back from the instance table
+    harness._clear_instances()
+    first = zeroed(run_suite("prop10", nmax=5))
+    harness._clear_instances()
+    assert first == zeroed(run_suite("prop10", nmax=5))
     assert zeroed(run_suite("sauer_shelah")) == zeroed(run_suite("sauer_shelah"))
 
 
