@@ -19,21 +19,24 @@ from an ingested graph6 corpus file; the harness refuses to sample rather
 than silently shrinking a sweep.
 
 The seven connected-graph suites (mdvstc_sandwich, prop8, prop10,
-thm14_minor, outerplanar_bound, treedec_bound, chordal_obs) take every
-measurement of a graph once per process and share it through the instance
-table: one record per graph, keyed by the graph's graph6 code, kept for
-the life of the process. A corpus line read again by a later run_suite call
-finds the record an earlier call made. A record holds scalars only: the
-graph6 code, diameter, metric dimension, test-cover number, vc of the ball
-hypergraph and of its dual, the dual's 2-vc, chordality, outerplanarity,
-and the width and length of the suite's tree decomposition. Each is taken
-on first use and stored only once the solver has returned, that is after
-its own certificate check, so a failing check raises and leaves nothing
-behind. The ball hypergraph, its dual and the decomposition are never
+thm14_minor, outerplanar_bound, treedec_bound, chordal_obs) run through one
+driver, ``_connected``, which builds the pool (n <= 7 unless nmax says
+otherwise) and the config, and they take every measurement of a graph once
+per process and share it through the instance table: one record per graph,
+keyed by the graph's graph6 code, kept for the life of the process. A
+corpus line read again by a later run_suite call finds the record an
+earlier call made. Each measurement is declared once, as one entry of
+``_MEASURES``, and a record has one slot per entry; a suite reads it as an
+attribute of the graph's ``_Instance``. A record holds scalars only. Each
+is taken on first use and stored only once the solver has returned, that
+is after its own certificate check, so a failing check raises and leaves
+nothing behind. The ball hypergraph and the decomposition are never
 stored: a suite builds each at most once per graph and drops it with the
 graph, and the distance matrix behind the ball hypergraph fills in the
-diameter. The tree and generator suites measure their instances directly
-and make no records.
+diameter. Width and length are read off the decomposition as built, not
+reduced: the bound is stated for a reduced decomposition, but absorbing a
+bag into a neighbour that contains it keeps both numbers. The tree and
+generator suites measure their instances directly and make no records.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ from .hypergraphs import (
 from .minors import has_clique_minor, is_outerplanar
 from .resolving import is_resolving, metric_dimension_exact, tree_metric_dimension
 from .treedec import clique_tree, length, treewidth_exact, width
-from .treedec import reduce as reduce_decomposition
 
 # One cap for every solver call made from a suite. Generated instances top
 # out at 116 vertices (line example, k=5), enumerated pools far lower.
@@ -179,18 +181,31 @@ class _Checks:
 # the instance table of the connected-graph suites
 
 
+# measurement name -> how to take it from an _Instance; a record has one
+# slot per entry
+_MEASURES = {
+    "diam": lambda inst: diameter(inst.g),
+    "md": lambda inst: metric_dimension_exact(inst.g, maxn=SOLVER_CAP).dimension,
+    "tc": lambda inst: len(min_test_cover(inst.balls(), maxn=SOLVER_CAP)),
+    "vc_star": lambda inst: vc_dimension(dual(inst.balls()), maxn=SOLVER_CAP)[0],
+    "dvc": lambda inst: vc_dimension(inst.balls(), maxn=SOLVER_CAP)[0],
+    "d2vc": lambda inst: dual_distance_2vc(inst.g, maxn=SOLVER_CAP),
+    "chordal": lambda inst: is_chordal(inst.g),
+    "outerplanar": lambda inst: is_outerplanar(inst.g),
+    "width": lambda inst: width(inst.decomposition()),
+    "length": lambda inst: length(inst.decomposition()),
+}
+
+
 class _Record:
     """The measurements of one connected graph, each None until taken."""
 
-    __slots__ = (
-        "gid", "diam", "md", "tc", "vc_star", "dvc", "d2vc",
-        "chordal", "outerplanar", "width", "length",
-    )
+    __slots__ = ("gid", *_MEASURES)
 
     def __init__(self, gid: str) -> None:
         self.gid = gid
-        self.diam = self.md = self.tc = self.vc_star = self.dvc = self.d2vc = None
-        self.chordal = self.outerplanar = self.width = self.length = None
+        for name in _MEASURES:
+            setattr(self, name, None)
 
 
 # graph6 code -> record, for the life of the process
@@ -210,30 +225,28 @@ def _clear_instances() -> None:
     _TABLE.clear()
 
 
-def _measure(take):
-    """A property read from the graph's record, taken and stored on first use."""
-    slot = take.__name__
-
-    def get(self):
-        value = getattr(self.rec, slot)
-        if value is None:
-            value = take(self)
-            setattr(self.rec, slot, value)
-        return value
-
-    return property(get)
-
-
 class _Instance:
     """One pool graph as one suite reads it: the graph, its record, and the
     ball hypergraph and decomposition, built at most once and only when a
     missing measurement needs them. Take a fresh one per graph (see
-    ``_instances``) so that those two go when the suite moves on."""
+    ``_instances``) so that those two go when the suite moves on. Every
+    name in ``_MEASURES`` reads as an attribute, taken and stored in the
+    record on first use."""
 
     __slots__ = ("g", "rec", "_balls", "_td")
 
     def __init__(self, rec: _Record, g: Graph) -> None:
         self.g, self.rec, self._balls, self._td = g, rec, None, None
+
+    def __getattr__(self, name: str):
+        take = _MEASURES.get(name)
+        if take is None:
+            raise AttributeError(name)
+        value = getattr(self.rec, name)
+        if value is None:
+            value = take(self)
+            setattr(self.rec, name, value)
+        return value
 
     @property
     def gid(self) -> str:
@@ -251,47 +264,6 @@ class _Instance:
         if self._td is None:
             self._td = clique_tree(self.g) if self.chordal else treewidth_exact(self.g)[1]
         return self._td
-
-    @_measure
-    def diam(self):
-        return diameter(self.g)
-
-    @_measure
-    def md(self):
-        return metric_dimension_exact(self.g, maxn=SOLVER_CAP).dimension
-
-    @_measure
-    def tc(self):
-        return len(min_test_cover(self.balls(), maxn=SOLVER_CAP))
-
-    @_measure
-    def vc_star(self):
-        return vc_dimension(dual(self.balls()), maxn=SOLVER_CAP)[0]
-
-    @_measure
-    def dvc(self):
-        return vc_dimension(self.balls(), maxn=SOLVER_CAP)[0]
-
-    @_measure
-    def d2vc(self):
-        return dual_distance_2vc(self.g, maxn=SOLVER_CAP)
-
-    @_measure
-    def chordal(self):
-        return is_chordal(self.g)
-
-    @_measure
-    def outerplanar(self):
-        return is_outerplanar(self.g)
-
-    @_measure
-    def width(self):
-        # reduce keeps the width, so it is read before reducing
-        return width(self.decomposition())
-
-    @_measure
-    def length(self):
-        return length(reduce_decomposition(self.decomposition()))
 
 
 def _instances(pool: list[tuple[_Record, Graph]]):
@@ -340,14 +312,20 @@ def _connected_pool(nmax: int, corpus: str | None) -> list[tuple[_Record, Graph]
     return pool
 
 
-def _md(g: Graph) -> int:
-    return metric_dimension_exact(g, maxn=SOLVER_CAP).dimension
+def _connected(suite):
+    """Run suite(checks, pool) -> (instances, fields, extras) over the
+    connected pool to nmax (7 by default); its config is nmax, the suite's
+    own fields, and the corpus when one was given."""
 
+    def run(checks, nmax, seed, corpus):
+        nmax = 7 if nmax is None else nmax
+        instances, fields, extras = suite(checks, _connected_pool(nmax, corpus))
+        config = {"nmax": nmax, **fields}
+        if corpus is not None:
+            config["corpus"] = corpus
+        return instances, config, extras
 
-def _with_corpus(config: dict, corpus: str | None) -> dict:
-    if corpus is not None:
-        config["corpus"] = corpus
-    return config
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +414,8 @@ def _suite_tree_equality(checks, nmax, seed, corpus):
 # distance-hypergraph suites
 
 
-def _suite_mdvstc(checks, nmax, seed, corpus):
-    nmax = 7 if nmax is None else nmax
-    pool = _connected_pool(nmax, corpus)
+@_connected
+def _suite_mdvstc(checks, pool):
     gap, gap_id = -1, ""
     for inst in _instances(pool):
         gid = inst.gid
@@ -450,26 +427,23 @@ def _suite_mdvstc(checks, nmax, seed, corpus):
         checks.claim(tc - 1 <= k * d, gid, sandwich, tc - 1, k * d, f"d={d} k={k}")
         if tc - k > gap:
             gap, gap_id = tc - k, gid
-    config = _with_corpus({"nmax": nmax, "solver_cap": SOLVER_CAP}, corpus)
-    return len(pool), config, {"max_tc_minus_md": gap, "max_gap_instance": gap_id}
+    extras = {"max_tc_minus_md": gap, "max_gap_instance": gap_id}
+    return len(pool), {"solver_cap": SOLVER_CAP}, extras
 
 
-def _suite_prop8(checks, nmax, seed, corpus):
-    nmax = 7 if nmax is None else nmax
-    pool = _connected_pool(nmax, corpus)
+@_connected
+def _suite_prop8(checks, pool):
     for inst in _instances(pool):
         gid, n = inst.gid, inst.g.n
         tc, vcstar = inst.tc, inst.vc_star
         b = bound_tc_vc(tc, vcstar)
         checks.claim(n <= b, gid, "n <= TC^vc* + 1", n, b, f"tc={tc} vc*={vcstar}")
         checks.ratio(gid, n, b)
-    config = _with_corpus({"nmax": nmax, "solver_cap": SOLVER_CAP}, corpus)
-    return len(pool), config, checks.max_ratio()
+    return len(pool), {"solver_cap": SOLVER_CAP}, checks.max_ratio()
 
 
-def _suite_prop10(checks, nmax, seed, corpus):
-    nmax = 7 if nmax is None else nmax
-    pool = _connected_pool(nmax, corpus)
+@_connected
+def _suite_prop10(checks, pool):
     checked = 0
     repaired_failures = 0
     for inst in _instances(pool):
@@ -485,9 +459,7 @@ def _suite_prop10(checks, nmax, seed, corpus):
         repaired_arg = 2.0**dvc / (d + 1) - 1
         if repaired_arg > 0 and math.log2(repaired_arg) / math.log2(dvc) > dstar + 1e-9:
             repaired_failures += 1
-    config = _with_corpus(
-        {"nmax": nmax, "solver_cap": SOLVER_CAP, "tolerance": "1e-9", "log_base": 2}, corpus
-    )
+    fields = {"solver_cap": SOLVER_CAP, "tolerance": "1e-9", "log_base": 2}
     extras = {
         "repaired_left_failures": repaired_failures,
         "note": (
@@ -495,7 +467,7 @@ def _suite_prop10(checks, nmax, seed, corpus):
             "form log2(2^dvc/(d+1) - 1)/log2(dvc) <= dvc* is tallied alongside"
         ),
     }
-    return checked, config, extras
+    return checked, fields, extras
 
 
 def _suite_sauer_shelah(checks, nmax, seed, corpus):
@@ -524,9 +496,8 @@ def _suite_sauer_shelah(checks, nmax, seed, corpus):
     return count, config, {}
 
 
-def _suite_thm14_minor(checks, nmax, seed, corpus):
-    nmax = 7 if nmax is None else nmax
-    pool = _connected_pool(nmax, corpus)
+@_connected
+def _suite_thm14_minor(checks, pool):
     hist: dict[int, int] = {}
     for inst in _instances(pool):
         t = inst.d2vc
@@ -535,9 +506,8 @@ def _suite_thm14_minor(checks, nmax, seed, corpus):
         claim = "dual 2-vc forces a clique minor"
         holds = has_clique_minor(inst.g, t_cap)
         checks.claim(holds, inst.gid, claim, f"no K_{t_cap} minor", f"d2vc={t}")
-    config = _with_corpus({"nmax": nmax, "clique_order_cap": 5}, corpus)
     extras = {"d2vc_histogram": {str(v): hist[v] for v in sorted(hist)}}
-    return len(pool), config, extras
+    return len(pool), {"clique_order_cap": 5}, extras
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +522,8 @@ def _o_family(ks):
                 yield f"O(d={d},k={k},chords={int(chords)})", *gen_o(d, k, with_chords=chords)
 
 
-def _suite_outerplanar_bound(checks, nmax, seed, corpus):
-    nmax = 7 if nmax is None else nmax
-    pool = _connected_pool(nmax, corpus)
+@_connected
+def _suite_outerplanar_bound(checks, pool):
     members = [(inst.gid, inst) for inst in _instances(pool) if inst.outerplanar]
     for tag, g, _ in _o_family(range(2, 5)):
         members.append((tag, _Instance(_record(to_graph6(g)), g)))
@@ -565,16 +534,12 @@ def _suite_outerplanar_bound(checks, nmax, seed, corpus):
         b = bound_outerplanar(d, k)
         checks.claim(n <= b, name, "order <= outerplanar bound", n, b, f"d={d} k={k}")
         checks.ratio(name, n, b)
-    config = _with_corpus(
-        {"nmax": nmax, "generated_d": "2..8", "generated_k": "2..4", "solver_cap": SOLVER_CAP},
-        corpus,
-    )
-    return len(members), config, checks.max_ratio()
+    fields = {"generated_d": "2..8", "generated_k": "2..4", "solver_cap": SOLVER_CAP}
+    return len(members), fields, checks.max_ratio()
 
 
-def _suite_treedec_bound(checks, nmax, seed, corpus):
-    nmax = 7 if nmax is None else nmax
-    pool = _connected_pool(nmax, corpus)
+@_connected
+def _suite_treedec_bound(checks, pool):
     chordal_count = 0
     for inst in _instances(pool):
         gid, n = inst.gid, inst.g.n
@@ -586,17 +551,16 @@ def _suite_treedec_bound(checks, nmax, seed, corpus):
         witness = f"d={d} k={k} w={w} len={ell}"
         checks.claim(n <= b, gid, "n <= decomposition bound", n, b, witness)
         checks.ratio(gid, n, b)
-    config = _with_corpus(
-        {"nmax": nmax, "decomposition": "clique tree when chordal, else exact treewidth, reduced"},
-        corpus,
-    )
-    return len(pool), config, {"chordal_instances": chordal_count, **checks.max_ratio()}
+    # "reduced" names the decomposition the bound is stated for; reducing
+    # keeps w and the length, so both are read off the unreduced one
+    fields = {"decomposition": "clique tree when chordal, else exact treewidth, reduced"}
+    return len(pool), fields, {"chordal_instances": chordal_count, **checks.max_ratio()}
 
 
-def _suite_chordal_obs(checks, nmax, seed, corpus):
-    nmax = 7 if nmax is None else nmax
+@_connected
+def _suite_chordal_obs(checks, pool):
     chordal_count, max_w = 0, 0
-    for inst in _instances(_connected_pool(nmax, corpus)):
+    for inst in _instances(pool):
         if not inst.chordal:
             continue
         chordal_count += 1
@@ -604,8 +568,7 @@ def _suite_chordal_obs(checks, nmax, seed, corpus):
         k = inst.md
         max_w = max(max_w, w)
         checks.claim(w <= 3**k, inst.gid, "treewidth <= 3^md", w, 3**k, f"k={k}")
-    config = _with_corpus({"nmax": nmax, "solver_cap": SOLVER_CAP}, corpus)
-    return chordal_count, config, {"max_width": max_w}
+    return chordal_count, {"solver_cap": SOLVER_CAP}, {"max_width": max_w}
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +584,7 @@ def _check_prediction(checks, tag, g, spec):
     checks.claim(resolves, tag, "declared set resolves", "not resolving", f"|S|={size}")
     if spec.metric_dimension is not None:
         want = spec.metric_dimension
-        km = _md(g)
+        km = metric_dimension_exact(g, maxn=SOLVER_CAP).dimension
         checks.claim(km == want, tag, "dimension matches prediction", km, want)
         checks.claim(size == want, tag, "declared set has minimum size", size, want)
 

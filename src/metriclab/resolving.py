@@ -56,8 +56,7 @@ def _vectors(dist: list[list[int]], landmarks: list[int]) -> dict[int, tuple[int
 
 
 def is_resolving(g: Graph, s) -> bool:
-    vecs = resolving_vectors(g, s)
-    return len(set(vecs.values())) == g.n
+    return _resolves(all_distances(g), s)
 
 
 def _resolves(dist: list[list[int]], s) -> bool:

@@ -134,6 +134,14 @@ def test_instance_table_measures_each_graph_once(tmp_path, monkeypatch):
                 assert type(getattr(rec, slot)) in (int, bool, str, type(None)), slot
 
 
+def test_measure_table_is_the_record_layout():
+    assert harness._Record.__slots__ == ("gid", *harness._MEASURES)
+    inst = harness._Instance(harness._Record("@"), Graph(1))
+    assert inst.chordal is True and inst.rec.chordal is True
+    with pytest.raises(AttributeError):
+        inst.not_a_measure
+
+
 def test_tree_and_generator_suites_make_no_records():
     harness._clear_instances()
     run_suite("tree_bound", nmax=8)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from metriclab.enumeration import enumerate_connected_graphs
 from metriclab.errors import DomainError, FormatError, TooLargeError
 from metriclab.graphs import (
     Graph,
@@ -10,8 +11,10 @@ from metriclab.graphs import (
     cycle_graph,
     diameter,
     grid_graph,
+    is_chordal,
     path_graph,
     star_graph,
+    to_graph6,
 )
 from metriclab.treedec import (
     TreeDecomposition,
@@ -142,6 +145,13 @@ def test_reduce_preserves_width_and_length():
         red = reduce(td)
         assert validate(red) == [] and is_reduced(red)
         assert width(red) == w0 and length(red) == l0
+    # the decompositions the harness reads w and the length from, unreduced
+    graphs = list(enumerate_connected_graphs(7))
+    assert len(graphs) == 996
+    for g in graphs:
+        td = clique_tree(g) if is_chordal(g) else treewidth_exact(g)[1]
+        red = reduce(td)
+        assert width(red) == width(td) and length(red) == length(td), to_graph6(g)
 
 
 def test_clique_tree_small():
