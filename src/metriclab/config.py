@@ -8,7 +8,7 @@ cap.
 
 Defaults can be changed process-wide through a key=value config file
 (``load_config``) or the METRICLAB_MAXN environment variable, which overrides
-every cap at once. Command-line flags override both.
+every cap at once and wins over the file. Command-line flags override both.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@ predicted statistics so the harness can compare prediction against
 measurement.
 
 Numbering is fixed (root first, components in declaration order, pendant
-paths inner-to-outer) and the resolving-set witness vertices carry labels
-"S0", "S1", ... so a drawing can be reproduced from the output alone.
+paths inner-to-outer), so a drawing can be reproduced from the graph alone;
+the spec's resolving_set names the witness vertices in that numbering.
 """
 
 from __future__ import annotations
@@ -78,12 +78,11 @@ def _graft_comb(g: Graph, root: int, r: int) -> int:
 
 
 def gen_l(r: int) -> Graph:
-    """The comb tree on 1 + r + r(r-1)/2 vertices, root labeled."""
+    """The comb tree on 1 + r + r(r-1)/2 vertices, rooted at vertex 0."""
     if r < 1:
         raise DomainError("gen_l needs r >= 1")
     _refuse_order(1 + r + r * (r - 1) // 2, "gen_l")
     g = Graph(1)
-    g.labels[0] = "root"
     _graft_comb(g, 0, r)
     return g
 
@@ -116,7 +115,6 @@ def gen_hs(d: int, k: int, a: int | None = None) -> tuple[Graph, ExtremalSpec]:
     if d % 2 == 0:
         r = d // 2
         g = Graph(1)
-        g.labels[0] = "root"
         witness = []
         for _ in range(k):
             witness.append(_graft_comb(g, 0, r))
@@ -127,7 +125,6 @@ def gen_hs(d: int, k: int, a: int | None = None) -> tuple[Graph, ExtremalSpec]:
         r = (d - 1) // 2
         g = Graph(2)
         g.add_edge(0, 1)
-        g.labels[0] = "root"
         witness = []
         for _ in range(a):
             witness.append(_graft_comb(g, 0, r))
@@ -141,8 +138,6 @@ def gen_hs(d: int, k: int, a: int | None = None) -> tuple[Graph, ExtremalSpec]:
             witness.append(w_tail)
         md = k if 0 < a < k else k + 1
         family, params = "HS_odd", {"d": d, "k": k, "a": a}
-    for j, v in enumerate(witness):
-        g.labels[v] = f"S{j}"
     spec = ExtremalSpec(family, params, order, d, md, tuple(witness))
     return g, spec
 
@@ -198,7 +193,6 @@ def gen_o(d: int, k: int, with_chords: bool = False) -> tuple[Graph, ExtremalSpe
         order = (3 * d + 3) // 2 + k * (2 * half * (half + 1) // 2 - 1)
     _refuse_order(order, "gen_o")
     g = Graph(1)
-    g.labels[0] = "root"
     small = d // 2 - 1 if d % 2 == 0 else (d - 1) // 2 - 1
     sizes = [small] * k if d % 2 == 0 else [small] * (k - 1) + [(d - 1) // 2]
     witness = []
@@ -206,8 +200,6 @@ def gen_o(d: int, k: int, with_chords: bool = False) -> tuple[Graph, ExtremalSpe
         deep = d % 2 == 1 and pos == k - 1
         witness.append(_graft_lobe(g, 0, i, with_chords, deep))
     _grow_path(g, 0, d // 2)
-    for j, v in enumerate(witness):
-        g.labels[v] = f"S{j}"
     spec = ExtremalSpec(
         "O",
         {"d": d, "k": k, "with_chords": with_chords},
@@ -221,7 +213,7 @@ def gen_o(d: int, k: int, with_chords: bool = False) -> tuple[Graph, ExtremalSpe
 
 def gen_grid_chain(t: int) -> tuple[Graph, ExtremalSpec]:
     """t copies of the t x t grid, consecutive copies linked at their top
-    corners. Order t^3; the labeled 3-set resolves the whole chain."""
+    corners. Order t^3; the spec's 3-set resolves the whole chain."""
     if t < 2:
         raise DomainError("gen_grid_chain needs t >= 2")
     _refuse_order(t**3, "gen_grid_chain")
@@ -241,8 +233,6 @@ def gen_grid_chain(t: int) -> tuple[Graph, ExtremalSpec]:
         g.add_edge(vid(copy, 0, 0), vid(copy + 1, 0, 0))
         g.add_edge(vid(copy, 0, t - 1), vid(copy + 1, 0, t - 1))
     s = (vid(0, 0, 0), vid(0, 0, t - 1), vid(t - 1, t - 1, 0))
-    for j, v in enumerate(s):
-        g.labels[v] = f"S{j}"
     spec = ExtremalSpec(
         "grid_chain",
         {"t": t},
@@ -297,8 +287,6 @@ def gen_line_example(k: int, maxk: int | None = None) -> tuple[Graph, ExtremalSp
             if set(root_edges[e1]) & set(root_edges[e2]):
                 g.add_edge(e1, e2)
     s = tuple(range(k))
-    for j in s:
-        g.labels[j] = f"S{j}"
     spec = ExtremalSpec(
         "line_example",
         {"k": k},

@@ -2,11 +2,9 @@
 
 Graphs are simple and undirected, with vertices 0..n-1 and adjacency stored
 as one int bitmask per vertex. That keeps the hot loops (BFS over masks,
-subset tests in the solvers) allocation-free without any dependency.
-
-Optional string labels annotate vertices (the extremal generators use them
-to mark roots, centers and designated resolving vertices); labels never
-participate in equality or isomorphism.
+subset tests in the solvers) allocation-free without any dependency. A graph
+is its structure only: vertices carry no names, and every reader and writer
+works on the numbering alone.
 """
 
 from __future__ import annotations
@@ -28,14 +26,13 @@ def iter_bits(mask: int):
 
 
 class Graph:
-    __slots__ = ("n", "adj", "labels")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int = 0):
         if n < 0:
             raise DomainError("vertex count must be nonnegative")
         self.n = n
         self.adj: list[int] = [0] * n
-        self.labels: dict[int, str] = {}
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -44,13 +41,10 @@ class Graph:
             g.add_edge(u, v)
         return g
 
-    def add_vertex(self, label: str | None = None) -> int:
+    def add_vertex(self) -> int:
         self.adj.append(0)
-        v = self.n
         self.n += 1
-        if label is not None:
-            self.labels[v] = label
-        return v
+        return self.n - 1
 
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
@@ -82,7 +76,6 @@ class Graph:
     def copy(self) -> "Graph":
         g = Graph(self.n)
         g.adj = list(self.adj)
-        g.labels = dict(self.labels)
         return g
 
     def induced(self, vertices) -> "Graph":
@@ -94,9 +87,6 @@ class Graph:
             for u in iter_bits(self.adj[v]):
                 if u < v and u in pos:
                     g.add_edge(pos[u], pos[v])
-        for v in vs:
-            if v in self.labels:
-                g.labels[pos[v]] = self.labels[v]
         return g
 
     def relabeled(self, perm: list[int]) -> "Graph":
@@ -104,14 +94,12 @@ class Graph:
         g = Graph(self.n)
         for u, v in self.edges():
             g.add_edge(perm[u], perm[v])
-        g.labels = {perm[v]: s for v, s in self.labels.items()}
         return g
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted((a.bit_count() for a in self.adj), reverse=True))
 
     def __eq__(self, other) -> bool:
-        # structural equality; labels are annotations only
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):

@@ -57,7 +57,7 @@ from .enumeration import (
     enumerate_trees,
     free_tree_key,
 )
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, MetriclabError
 from .extremal import gen_grid_chain, gen_hs, gen_l, gen_line_example, gen_o, hs_order
 from .graphs import Graph, diameter, is_chordal, is_connected, is_tree, parse_graph6, to_graph6
 from .hypergraphs import (
@@ -290,13 +290,18 @@ def _connected_pool(nmax: int, corpus: str | None) -> list[tuple[_Record, Graph]
         )
     try:
         with open(corpus) as fp:
-            lines = [line.strip() for line in fp if line.strip()]
+            lines = [line.strip() for line in fp]
     except OSError as exc:
         raise FormatError(f"cannot read corpus {corpus}: {exc}") from exc
     by_order: dict[int, list[tuple[_Record, Graph]]] = {}
     seen: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
-        g = parse_graph6(line)
+        if not line:
+            continue
+        try:
+            g = parse_graph6(line)
+        except MetriclabError as exc:
+            raise type(exc)(f"{corpus}:{lineno}: {exc}") from exc
         if line in seen:
             raise FormatError(f"{corpus}:{lineno}: duplicate graph {line}")
         seen.add(line)

@@ -4,9 +4,8 @@ Edges are stored as int bitmasks over vertices 0..nverts-1, in a list whose
 slots are meaningful: the dual has one vertex per edge slot and one edge per
 original vertex, so dual(dual(h)) == h exactly, multiplicities included.
 Deduplication is always an explicit step (``dedup``), never implicit.
-
-Optional edge labels carry bookkeeping like ball descriptions; they are
-excluded from equality, mirroring vertex labels on graphs.
+A hypergraph is its vertex count and its edge list, nothing more: two are
+equal exactly when both agree, slot for slot.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ from .graphs import MAX_VERTICES, Graph, all_distances, iter_bits
 from .setcover import min_cover
 
 
-@dataclass(eq=False)
+@dataclass
 class Hypergraph:
     nverts: int
     edges: list[int]
-    edge_labels: list[str | None] | None = None
 
     def __post_init__(self):
         full = (1 << self.nverts) - 1
@@ -35,16 +33,6 @@ class Hypergraph:
 
     def edge_vertices(self, i: int) -> list[int]:
         return list(iter_bits(self.edges[i]))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Hypergraph)
-            and self.nverts == other.nverts
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.nverts, tuple(self.edges)))
 
     def __repr__(self):
         return f"Hypergraph(nverts={self.nverts}, nedges={len(self.edges)})"
@@ -124,17 +112,8 @@ def format_hypergraph(h: Hypergraph) -> str:
 
 
 def dedup(h: Hypergraph) -> Hypergraph:
-    """Drop repeated edge sets, keeping the first slot (and its label)."""
-    seen = set()
-    edges = []
-    labels = []
-    for i, e in enumerate(h.edges):
-        if e in seen:
-            continue
-        seen.add(e)
-        edges.append(e)
-        labels.append(h.edge_labels[i] if h.edge_labels else None)
-    return Hypergraph(h.nverts, edges, labels if any(labels) else None)
+    """Drop repeated edge sets, keeping the first slot of each."""
+    return Hypergraph(h.nverts, list(dict.fromkeys(h.edges)))
 
 
 def trace(h: Hypergraph, x) -> Hypergraph:
@@ -147,19 +126,13 @@ def trace(h: Hypergraph, x) -> Hypergraph:
     xmask = 0
     for v in xs:
         xmask |= 1 << v
-    seen = set()
     edges = []
-    labels = []
-    for i, e in enumerate(h.edges):
+    for e in h.edges:
         rel = 0
         for v in iter_bits(e & xmask):
             rel |= 1 << pos[v]
-        if rel in seen:
-            continue
-        seen.add(rel)
         edges.append(rel)
-        labels.append(h.edge_labels[i] if h.edge_labels else None)
-    return Hypergraph(len(xs), edges, labels if any(labels) else None)
+    return Hypergraph(len(xs), list(dict.fromkeys(edges)))
 
 
 def dual(h: Hypergraph) -> Hypergraph:
@@ -374,8 +347,9 @@ def _first_centers(balls: list[list[int]]) -> dict[int, tuple[int, int]]:
 def distance_hypergraph(g: Graph) -> Hypergraph:
     """All balls B(v, r) for r = 0..diam(G), one edge per distinct ball.
 
-    Edge order: radius outer loop, center inner; each kept edge is labeled
-    by its first (center, radius) representative.
+    Edge order: radius outer loop, center inner; each distinct ball keeps
+    the slot of its first (center, radius) representative, and
+    test_cover_to_resolving maps a slot back to that center.
     """
     return _distance_hypergraph(g)[0]
 
@@ -383,9 +357,7 @@ def distance_hypergraph(g: Graph) -> Hypergraph:
 def _distance_hypergraph(g: Graph) -> tuple[Hypergraph, int]:
     """distance_hypergraph(g) and the diameter of g, from one distance matrix."""
     balls = _balls(all_distances(g))
-    first = _first_centers(balls)
-    h = Hypergraph(g.n, list(first), [f"B({v},{r})" for v, r in first.values()])
-    return h, len(balls) - 1
+    return Hypergraph(g.n, list(_first_centers(balls))), len(balls) - 1
 
 
 def distance_hypergraph_fixed_radius(g: Graph, radius: int) -> Hypergraph:
@@ -394,7 +366,7 @@ def distance_hypergraph_fixed_radius(g: Graph, radius: int) -> Hypergraph:
     balls = _balls(all_distances(g))
     if not 0 <= radius < len(balls):
         raise DomainError(f"radius {radius} outside 0..{len(balls) - 1}")
-    return Hypergraph(g.n, balls[radius], [f"B({v},{radius})" for v in range(g.n)])
+    return Hypergraph(g.n, balls[radius])
 
 
 def dual_distance_2vc(g: Graph, maxn: int | None = None) -> int:
@@ -481,36 +453,22 @@ def prop9_witness(h: Hypergraph, maxn: int | None = None) -> Hypergraph:
     For a dual-shattered family A of size k = vc(dual(h)) with realizing
     vertices x_S (one per subset S of A), drop the all-outside vertex
     x_{empty} and trace h onto the remaining 2^k - 1 vertices. The images
-    of A, labeled "A0".."A{k-1}" in the result, form a test cover of size k;
-    all of that is verified before returning.
+    of A are k distinct edges of the result that form a test cover of it;
+    that is verified before returning.
     """
     k, wit = vc_dimension(dual(h), maxn=maxn)
     if k == 0 or wit is None:
         raise DomainError("dual VC dimension is 0: no shattered family of edges")
-    family = wit.vertices  # edge slots of h
     x_of = {frozenset(sub): v for sub, v in wit.assignment.items()}
     x0 = x_of[frozenset()]
     keep = sorted(v for sub, v in x_of.items() if sub)
     if len(keep) != (1 << k) - 1 or x0 in keep:
         raise InternalError("prop9_witness: the dual witness is not a full assignment")
-    pos = {v: i for i, v in enumerate(keep)}
-    keepmask = 0
-    for v in keep:
-        keepmask |= 1 << v
-
     result = trace(h, keep)
-    if result.edge_labels is None:
-        result.edge_labels = [None] * len(result.edges)
-    cover_slots = []
-    for j, a in enumerate(family):
-        img = 0
-        for v in iter_bits(h.edges[a] & keepmask):
-            img |= 1 << pos[v]
-        slot = result.edges.index(img)
-        result.edge_labels[slot] = f"A{j}"
-        cover_slots.append(slot)
-    # the k images must be pairwise distinct edges and a test cover of the
-    # trace: every vertex covered, every pair split
-    if len(set(cover_slots)) != k or not _is_test_cover(result.edges, result.nverts, cover_slots):
+    # wit.vertices are edge slots of h; their traces must stay k distinct
+    # edges and form a test cover: every vertex covered, every pair split
+    images = trace(Hypergraph(h.nverts, [h.edges[a] for a in wit.vertices]), keep).edges
+    cover_slots = [result.edges.index(img) for img in images]
+    if len(cover_slots) != k or not _is_test_cover(result.edges, result.nverts, cover_slots):
         raise InternalError("prop9_witness: the traced family is not a test cover of size k")
     return result

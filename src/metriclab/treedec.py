@@ -8,6 +8,7 @@ so callers can show them; the other operations refuse invalid input.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -86,19 +87,12 @@ class TreeDecomposition:
             if not any(u in bag and v in bag for bag in self.bags):
                 out.append(f"P2: edge ({u}, {v}) contained in no bag")
         if tree_ok:
+            # the bags holding v induce a subforest of the tree, with fewer
+            # edges than bags unless it is one subtree
+            holders = Counter(v for bag in self.bags for v in bag)
+            inner = Counter(v for i, j in self.tree_edges for v in self.bags[i] & self.bags[j])
             for v in range(n):
-                holders = [i for i, bag in enumerate(self.bags) if v in bag]
-                if len(holders) <= 1:
-                    continue
-                hset = set(holders)
-                seen = {holders[0]}
-                stack = [holders[0]]
-                while stack:
-                    for j in adj[stack.pop()]:
-                        if j in hset and j not in seen:
-                            seen.add(j)
-                            stack.append(j)
-                if len(seen) != len(holders):
+                if inner[v] < holders[v] - 1:
                     out.append(f"P3: bags containing vertex {v} do not form a subtree")
         return tuple(out)
 

@@ -243,6 +243,20 @@ def test_cap_precedence_flag_beats_config(cli, tmp_path):
     assert code == 0 and json.loads(out)["dimension"] == 3
 
 
+def test_cap_precedence_environment_beats_config(cli, tmp_path, monkeypatch):
+    # --maxn, then METRICLAB_MAXN, then the config file, then the defaults
+    monkeypatch.setenv("METRICLAB_MAXN", "5")
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("md_n = 100\n")
+    for argv in (["solve", "md"], ["solve", "md", "--config", str(cfg)]):
+        code, out, err = cli(argv, stdin_text="IheA@GUAo\n")
+        assert (code, out) == (3, "") and "exceeds cap 5" in err
+    code, out, _ = cli(
+        ["solve", "md", "--config", str(cfg), "--maxn", "12"], stdin_text="IheA@GUAo\n"
+    )
+    assert code == 0 and json.loads(out)["dimension"] == 3
+
+
 def test_hyper_tc_config_reads_the_test_cover_cap(cli, tmp_path):
     # 25 vertices, one edge per bit of the codes 1..25: twin-free, the five
     # edges form the unique minimum test cover

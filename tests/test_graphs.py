@@ -113,12 +113,10 @@ def test_is_tree():
     assert leaves(path_graph(4)) == [0, 3]
 
 
-def test_induced_subgraph_keeps_structure_and_labels():
+def test_induced_subgraph_keeps_structure():
     g = cycle_graph(5)
-    g.labels[2] = "mark"
     h = g.induced([1, 2, 3])
     assert h.n == 3 and sorted(h.edges()) == [(0, 1), (1, 2)]
-    assert h.labels == {1: "mark"}
 
 
 def test_relabeled_is_isomorphic():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from metriclab import harness
-from metriclab.errors import DomainError, FormatError
+from metriclab.errors import DomainError, FormatError, TooLargeError
 from metriclab.graphs import Graph, to_graph6
 from metriclab.harness import Failure, SuiteReport, run_suite, suite_names
 
@@ -231,6 +231,21 @@ def test_corpus_file_errors(tmp_path):
     with pytest.raises(FormatError) as err:
         run_suite("thm14_minor", nmax=8, corpus=str(dup))
     assert "duplicate" in str(err.value)
+
+
+def test_corpus_parse_errors_name_their_line(tmp_path):
+    # line numbers count every line of the file, blank ones included
+    first, second = Path(CORPUS).read_text().splitlines()[:2]
+    bad = tmp_path / "bad.g6"
+    bad.write_text(f"{first}\n{second}\n\nG??\n")
+    with pytest.raises(FormatError) as err:
+        run_suite("thm14_minor", nmax=8, corpus=str(bad))
+    assert str(err.value) == f"{bad}:4: graph6 body has 2 characters, expected 5 for n=8"
+    huge = tmp_path / "huge.g6"
+    huge.write_text(f"{first}\n~~??????\n")
+    with pytest.raises(TooLargeError) as err:
+        run_suite("thm14_minor", nmax=8, corpus=str(huge))
+    assert str(err.value).startswith(f"{huge}:2: graph6 '~~' form")
 
 
 def zeroed(report: SuiteReport) -> str:

@@ -92,10 +92,9 @@ def test_text_vertex_count_ceiling():
 
 
 def test_dedup_keeps_first():
-    h = Hypergraph(3, [0b101, 0b011, 0b101], ["x", None, "y"])
+    h = Hypergraph(3, [0b101, 0b011, 0b101])
     d = dedup(h)
     assert d.edges == [0b101, 0b011]
-    assert d.edge_labels == ["x", None]
 
 
 def test_trace_examples():
@@ -337,7 +336,6 @@ def test_c4_ball_family_is_tight_for_the_sandwich():
 def test_distance_hypergraph_p3():
     h = distance_hypergraph(path_graph(3))
     assert sorted(h.edges) == sorted([0b001, 0b010, 0b100, 0b011, 0b110, 0b111])
-    assert h.edge_labels is not None and h.edge_labels[0] == "B(0,0)"
 
 
 def test_distance_hypergraph_small_families():
@@ -385,12 +383,10 @@ def test_ball_families_match_floyd_warshall_oracle():
                 first.setdefault(ball, (v, r))
         h = distance_hypergraph(g)
         assert h.edges == list(first)
-        assert h.edge_labels == [f"B({v},{r})" for v, r in first.values()]
 
         for r in range(diam + 1):
             fixed = distance_hypergraph_fixed_radius(g, r)
             assert fixed.edges == balls[r]
-            assert fixed.edge_labels == [f"B({v},{r})" for v in range(g.n)]
         for r in (-1, diam + 1):
             with pytest.raises(DomainError):
                 distance_hypergraph_fixed_radius(g, r)
@@ -489,16 +485,25 @@ def generic_k_edge_hypergraph(k):
 
 def test_prop9_witness_shapes():
     w1 = prop9_witness(Hypergraph(2, [0b01]))
-    assert w1.nverts == 1 and len([l for l in w1.edge_labels if l]) == 1
+    assert w1 == Hypergraph(1, [0b1])
+    assert len(min_test_cover(w1)) == 1
 
     for k in (2, 3):
         h = generic_k_edge_hypergraph(k)
-        assert vc_dimension(dual(h), maxn=k)[0] == k
+        vcd, wit = vc_dimension(dual(h), maxn=k)
+        assert vcd == k
         w = prop9_witness(h)
         assert w.nverts == (1 << k) - 1
-        marked = [i for i, l in enumerate(w.edge_labels) if l and l.startswith("A")]
-        assert len(marked) == k
         assert len(min_test_cover(w)) == k
+        # the images of the dual witness family: k distinct edges of w that
+        # cover every vertex and split every pair
+        keep = sorted(v for sub, v in wit.assignment.items() if sub)
+        images = {
+            sum(1 << i for i, v in enumerate(keep) if h.edges[a] >> v & 1) for a in wit.vertices
+        }
+        assert len(images) == k and images <= set(w.edges)
+        sigs = [frozenset(e for e in images if e >> v & 1) for v in range(w.nverts)]
+        assert all(sigs) and len(set(sigs)) == w.nverts
 
 
 def test_prop9_witness_error_when_no_family():

@@ -304,3 +304,18 @@ def test_sandwich_on_small_pool():
         d = diameter(g)
         assert tc - 1 <= k * d
         assert k <= tc
+
+
+def test_random_graphs_beyond_the_exhaustive_pools():
+    # orders 8..10, past the n <= 7 enumeration that most suites replay
+    rng = random.Random(81010)
+    for _ in range(400):
+        n = rng.randrange(8, 11)
+        g = oracles.random_connected_graph(rng, n, rng.choice((0.1, 0.25, 0.5)))
+        k = metric_dimension_exact(g).dimension
+        assert k == oracles.naive_metric_dimension(g)[0]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert metric_dimension_exact(g.relabeled(perm)).dimension == k
+        tc = len(min_test_cover(distance_hypergraph(g)))
+        assert k <= tc <= k * diameter(g) + 1

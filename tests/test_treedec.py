@@ -88,6 +88,28 @@ def test_validate_violations():
     assert any("outside host range" in v for v in validate(oob))
 
 
+def test_subtree_property_matches_a_search_over_the_bag_tree():
+    rng = random.Random(3303)
+    for _ in range(300):
+        n, nb = rng.randint(1, 6), rng.randint(1, 7)
+        tree = random_tree(rng, nb)
+        bags = [set(rng.sample(range(n), rng.randint(0, n))) for _ in range(nb)]
+        td = TreeDecomposition(path_graph(n), bags, tree.edges())
+        want = []
+        for v in range(n):
+            holders = [i for i in range(nb) if v in bags[i]]
+            reached = set(holders[:1])
+            stack = holders[:1]
+            while stack:
+                for j in tree.neighbors(stack.pop()):
+                    if v in bags[j] and j not in reached:
+                        reached.add(j)
+                        stack.append(j)
+            if len(reached) != len(holders):
+                want.append(f"P3: bags containing vertex {v} do not form a subtree")
+        assert [x for x in validate(td) if x.startswith("P3")] == want
+
+
 def test_invalid_input_is_refused_with_the_first_violation():
     g = path_graph(4)
     td = TreeDecomposition(g, [{0, 1}, {2, 3}], [(0, 1)])
