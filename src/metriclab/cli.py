@@ -6,6 +6,10 @@ dimension), hyper (hypergraph ops), td (tree decompositions), bound
 machine-parseable payload per invocation (graph6, hypergraph text, PACE
 text, JSON, CSV, or the verify table); diagnostics go to stderr.
 
+A process loads only what its verb uses: each handler imports its own
+modules, and the parser fills in the arguments of the verb being run alone
+(every verb is still listed, so help and usage errors read the same).
+
 Exit codes: 0 success or suite pass, 1 suite failure, 2 usage or bad
 input, 3 instance over its size cap, 4 a solver's answer failed its own
 certificate check.
@@ -18,34 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import bound_names, evaluate_bound
-from .config import load_config
 from .errors import DomainError, FormatError, InternalError, TooLargeError
-from .extremal import gen_grid_chain, gen_hs, gen_l, gen_line_example, gen_o
-from .graphs import Graph, parse_edge_list, parse_graph6, to_graph6
-from .harness import run_suite, suite_names
-from .hypergraphs import (
-    distance_hypergraph,
-    distance_hypergraph_fixed_radius,
-    dual,
-    format_hypergraph,
-    min_test_cover,
-    parse_hypergraph,
-    prop9_witness,
-    vc2_dimension,
-    vc_dimension,
-)
-from .resolving import is_resolving, metric_dimension_exact, tree_metric_dimension
-from .treedec import (
-    clique_tree,
-    format_pace,
-    length,
-    parse_pace,
-    treewidth_exact,
-    validate,
-    width,
-)
-from .treedec import reduce as reduce_decomposition
 
 
 def _read_text(path: str) -> str:
@@ -57,8 +34,10 @@ def _read_text(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_graph(path: str) -> Graph:
+def _read_graph(path: str):
     """graph6 by default; 'u v' integer pairs switch to edge-list mode."""
+    from .graphs import parse_edge_list, parse_graph6
+
     text = _read_text(path)
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -75,15 +54,13 @@ def _read_graph(path: str) -> Graph:
     return parse_graph6(lines[0])
 
 
-def _read_hypergraph(path: str):
-    return parse_hypergraph(_read_text(path))
-
-
 def _cap(args, field: str) -> int | None:
     """Explicit --maxn beats the config file; neither means library defaults."""
     if getattr(args, "maxn", None) is not None:
         return args.maxn
     if getattr(args, "config", None):
+        from .config import load_config
+
         return getattr(load_config(args.config), field)
     return None
 
@@ -104,6 +81,9 @@ def _vertex_set(text: str) -> list[int]:
 
 
 def _cmd_gen(args) -> tuple[str, int]:
+    from .extremal import gen_grid_chain, gen_hs, gen_l, gen_line_example, gen_o
+    from .graphs import to_graph6
+
     if args.family == "l":
         g = gen_l(args.r)
         doc = {"schema": 1, "family": "l", "params": {"r": args.r}, "order": g.n}
@@ -133,6 +113,8 @@ def _cmd_gen(args) -> tuple[str, int]:
 
 
 def _cmd_solve(args) -> tuple[str, int]:
+    from .resolving import is_resolving, metric_dimension_exact, tree_metric_dimension
+
     g = _read_graph(args.input)
     if args.op == "md":
         cert = metric_dimension_exact(g, maxn=_cap(args, "md_n"))
@@ -149,6 +131,18 @@ def _cmd_solve(args) -> tuple[str, int]:
 
 
 def _cmd_hyper(args) -> tuple[str, int]:
+    from .hypergraphs import (
+        distance_hypergraph,
+        distance_hypergraph_fixed_radius,
+        dual,
+        format_hypergraph,
+        min_test_cover,
+        parse_hypergraph,
+        prop9_witness,
+        vc2_dimension,
+        vc_dimension,
+    )
+
     if args.op == "dhg":
         g = _read_graph(args.input)
         if args.radius is not None:
@@ -156,7 +150,7 @@ def _cmd_hyper(args) -> tuple[str, int]:
         else:
             h = distance_hypergraph(g)
         return format_hypergraph(h), 0
-    h = _read_hypergraph(args.input)
+    h = parse_hypergraph(_read_text(args.input))
     # the test cover shares the metric-dimension set-cover engine and cap
     cap = _cap(args, "md_n" if args.op == "tc" else "vc_n")
     if args.op == "vc":
@@ -179,6 +173,17 @@ def _cmd_hyper(args) -> tuple[str, int]:
 
 
 def _cmd_td(args) -> tuple[str, int]:
+    from .treedec import (
+        clique_tree,
+        format_pace,
+        length,
+        parse_pace,
+        reduce,
+        treewidth_exact,
+        validate,
+        width,
+    )
+
     if args.op == "cliquetree":
         g = _read_graph(args.input)
         return format_pace(clique_tree(g)), 0
@@ -199,7 +204,7 @@ def _cmd_td(args) -> tuple[str, int]:
         return _json_line({"schema": 1, "width": width(td)}), 0
     if args.op == "length":
         return _json_line({"schema": 1, "length": length(td)}), 0
-    return format_pace(reduce_decomposition(td)), 0
+    return format_pace(reduce(td)), 0
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +215,8 @@ _BOUND_PARAMS = ("d", "k", "w", "l", "t", "r", "tc", "vcstar", "dvcstar")
 
 
 def _cmd_bound(args) -> tuple[str, int]:
+    from .bounds import evaluate_bound
+
     params = {p: getattr(args, p) for p in _BOUND_PARAMS if getattr(args, p) is not None}
     value = evaluate_bound(args.name, **params)
     doc = {
@@ -223,6 +230,8 @@ def _cmd_bound(args) -> tuple[str, int]:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
+    from .harness import run_suite
+
     if args.csv and args.json == "-":
         raise DomainError("--csv conflicts with --json - (both claim stdout)")
     report = run_suite(args.suite, nmax=args.nmax, seed=args.seed, corpus=args.corpus)
@@ -237,23 +246,19 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one function per verb adds that verb's arguments
+
+
+_CONFIG_HELP = "key=value cap file; --maxn, then METRICLAB_MAXN, win over it"
 
 
 def _add_io(sub, *, maxn_help="override the size cap for this call"):
     sub.add_argument("input", nargs="?", default="-", help="input file, or - for stdin")
     sub.add_argument("--maxn", type=int, help=maxn_help)
-    sub.add_argument("--config", help="key=value cap file; --maxn wins over it")
+    sub.add_argument("--config", help=_CONFIG_HELP)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="metriclab",
-        description="exact metric-dimension toolkit: generators, solvers, decompositions, claim suites",
-    )
-    verbs = parser.add_subparsers(dest="verb", required=True)
-
-    gen = verbs.add_parser("gen", help="emit an extremal family member as graph6")
+def _gen_args(gen) -> None:
     fams = gen.add_subparsers(dest="family", required=True)
     p = fams.add_parser("l", help="comb tree used as a building block")
     p.add_argument("--r", type=int, required=True)
@@ -270,12 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = fams.add_parser("line-example", help="line graph separating dimension from vc")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--maxn", type=int, help="override the k cap")
-    p.add_argument("--config", help="key=value cap file")
+    p.add_argument("--config", help=_CONFIG_HELP)
     for sp in fams.choices.values():
         sp.add_argument("--json", metavar="OUT", help="write the spec JSON to OUT (- replaces the graph6 line)")
-        sp.set_defaults(handler=_cmd_gen)
 
-    solve = verbs.add_parser("solve", help="metric dimension solvers")
+
+def _solve_args(solve) -> None:
     ops = solve.add_subparsers(dest="op", required=True)
     p = ops.add_parser("md", help="exact metric dimension with certificate")
     _add_io(p)
@@ -284,10 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = ops.add_parser("resolving-check", help="test whether a given set resolves")
     _add_io(p)
     p.add_argument("--set", type=_vertex_set, required=True, metavar="V1,V2,...")
-    for sp in ops.choices.values():
-        sp.set_defaults(handler=_cmd_solve)
 
-    hyper = verbs.add_parser("hyper", help="hypergraph operations")
+
+def _hyper_args(hyper) -> None:
     ops = hyper.add_subparsers(dest="op", required=True)
     p = ops.add_parser("dhg", help="distance hypergraph of a graph")
     _add_io(p)
@@ -301,10 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = ops.add_parser(name, help=text)
         _add_io(p)
-    for sp in ops.choices.values():
-        sp.set_defaults(handler=_cmd_hyper)
 
-    td = verbs.add_parser("td", help="tree decomposition operations")
+
+def _td_args(td) -> None:
     ops = td.add_subparsers(dest="op", required=True)
     for name, text in (
         ("validate", "check bag cover, edge cover, and connectivity"),
@@ -320,35 +323,64 @@ def build_parser() -> argparse.ArgumentParser:
     p = ops.add_parser("tw", help="exact treewidth")
     _add_io(p)
     p.add_argument("--decomp", metavar="OUT", help="also write the decomposition (- replaces the JSON)")
-    for sp in ops.choices.values():
-        sp.set_defaults(handler=_cmd_td)
 
-    bound = verbs.add_parser("bound", help="closed-form order bounds")
+
+def _bound_args(bound) -> None:
+    from .bounds import bound_names
+
     bound.add_argument("name", choices=bound_names())
     for p_name in _BOUND_PARAMS:
         bound.add_argument(f"--{p_name}", type=int)
-    bound.set_defaults(handler=_cmd_bound)
 
-    verify = verbs.add_parser("verify", help="run a claim suite")
+
+def _verify_args(verify) -> None:
+    from .harness import suite_names
+
     verify.add_argument("suite", choices=suite_names())
     verify.add_argument("--nmax", type=int, help="pool limit (meaning is per suite)")
     verify.add_argument("--corpus", help="graph6 corpus file for pools past n=7")
     verify.add_argument("--seed", type=int, help="PRNG seed for the randomized suite")
     verify.add_argument("--json", metavar="OUT", help="write the JSON report (- replaces the table)")
     verify.add_argument("--csv", action="store_true", help="emit failures as CSV instead of the table")
-    verify.set_defaults(handler=_cmd_verify)
 
+
+# verb -> (help, arguments, handler), in the order help lists them
+_VERBS = {
+    "gen": ("emit an extremal family member as graph6", _gen_args, _cmd_gen),
+    "solve": ("metric dimension solvers", _solve_args, _cmd_solve),
+    "hyper": ("hypergraph operations", _hyper_args, _cmd_hyper),
+    "td": ("tree decomposition operations", _td_args, _cmd_td),
+    "bound": ("closed-form order bounds", _bound_args, _cmd_bound),
+    "verify": ("run a claim suite", _verify_args, _cmd_verify),
+}
+
+
+def build_parser(verb: str | None) -> argparse.ArgumentParser:
+    """Every verb with its help line, and the arguments of ``verb`` alone
+    (of none when ``verb`` is not a verb name)."""
+    parser = argparse.ArgumentParser(
+        prog="metriclab",
+        description="exact metric-dimension toolkit: generators, solvers, decompositions, claim suites",
+    )
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    for name, (text, add_args, _) in _VERBS.items():
+        sub = verbs.add_parser(name, help=text)
+        if name == verb:
+            add_args(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse takes the first word that is not an option as the verb
+    verb = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(verb).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        text, code = args.handler(args)
+        text, code = _VERBS[args.verb][2](args)
     except (FormatError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

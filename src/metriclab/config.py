@@ -14,15 +14,14 @@ every cap at once and wins over the file. Command-line flags override both.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from .errors import FormatError, TooLargeError
 
 _ENV_VAR = "METRICLAB_MAXN"
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     # Vertex-count limits. minor_n and treewidth_n apply after exact
     # reductions (block split / simplicial stripping), not to raw input.
     md_n: int = 64
@@ -46,7 +45,7 @@ def _env_override(caps: Caps) -> Caps:
         n = int(raw)
     except ValueError as exc:
         raise FormatError(f"{_ENV_VAR} must be an integer, got {raw!r}") from exc
-    return Caps(**{f.name: n for f in fields(Caps)})
+    return Caps._make([n] * len(Caps._fields))
 
 
 def default_caps() -> Caps:
@@ -60,7 +59,6 @@ def load_config(path: str) -> Caps:
     Blank lines and lines starting with '#' are ignored. The environment
     variable still wins over the file, flags win over everything.
     """
-    known = {f.name for f in fields(Caps)}
     overrides: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -71,13 +69,13 @@ def load_config(path: str) -> Caps:
                 raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in known:
+            if key not in Caps._fields:
                 raise FormatError(f"{path}:{lineno}: unknown cap {key!r}")
             try:
                 overrides[key] = int(value.strip())
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {key} needs an integer") from exc
-    return _env_override(replace(Caps(), **overrides))
+    return _env_override(Caps()._replace(**overrides))
 
 
 def enforce_cap(n: int, maxn: int | None, field: str, message: str) -> None:

@@ -9,16 +9,15 @@ the spec's resolving_set names the witness vertices in that numbering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from .config import enforce_cap
 from .errors import DomainError, TooLargeError
 from .graphs import MAX_VERTICES, Graph
 
 
-@dataclass(frozen=True)
-class ExtremalSpec:
+class ExtremalSpec(NamedTuple):
     family: str
     params: dict
     order: int

@@ -10,9 +10,9 @@ equal exactly when both agree, slot for slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
+from typing import NamedTuple
 
 from .config import enforce_cap
 from .errors import DomainError, FormatError, InternalError, TooLargeError
@@ -20,26 +20,27 @@ from .graphs import MAX_VERTICES, Graph, all_distances, iter_bits
 from .setcover import min_cover
 
 
-@dataclass
 class Hypergraph:
-    nverts: int
-    edges: list[int]
+    __slots__ = ("nverts", "edges")
 
-    def __post_init__(self):
-        full = (1 << self.nverts) - 1
-        for e in self.edges:
+    def __init__(self, nverts: int, edges: list[int]):
+        full = (1 << nverts) - 1
+        for e in edges:
             if e & ~full:
                 raise DomainError("edge mentions a vertex outside 0..nverts-1")
+        self.nverts = nverts
+        self.edges = edges
 
-    def edge_vertices(self, i: int) -> list[int]:
-        return list(iter_bits(self.edges[i]))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nverts, self.edges) == (other.nverts, other.edges)
 
     def __repr__(self):
         return f"Hypergraph(nverts={self.nverts}, nedges={len(self.edges)})"
 
 
-@dataclass
-class ShatterWitness:
+class ShatterWitness(NamedTuple):
     """A shattered (or 2-shattered) set plus one realizing edge per subset.
 
     assignment maps a sorted vertex tuple (a subset of ``vertices``; only the

@@ -10,7 +10,7 @@ nothing. The remaining pairs go to the shared branch-and-bound engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import enforce_cap
 from .errors import DomainError, InternalError
@@ -19,8 +19,7 @@ from .hypergraphs import _balls, _first_centers, _is_test_cover
 from .setcover import min_cover
 
 
-@dataclass
-class ResolvingCertificate:
+class ResolvingCertificate(NamedTuple):
     vertices: list[int]
     dimension: int
     vectors: dict[int, tuple[int, ...]]

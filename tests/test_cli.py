@@ -2,10 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import metriclab
+from metriclab.bounds import bound_names
 from metriclab.cli import main
+from metriclab.harness import suite_names
 from metriclab.graphs import parse_graph6
 
 
@@ -304,3 +311,60 @@ def test_missing_input_file(cli, tmp_path):
 def test_empty_input(cli):
     code, out, err = cli(["solve", "md"], stdin_text="# only a comment\n\n")
     assert code == 2 and "empty graph input" in err
+
+
+def test_config_help_gives_the_cap_precedence(cli):
+    for argv in (["solve", "md", "--help"], ["gen", "line-example", "--help"]):
+        code, out, _ = cli(argv)
+        assert code == 0 and "--maxn, then METRICLAB_MAXN, win over" in out
+
+
+# one fresh interpreter runs main(argv) and reports what it loaded
+_LOADS = """
+import io, json, sys
+from metriclab.cli import main
+sys.stdout = io.StringIO()
+code = main(sys.argv[1:])
+out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
+print(json.dumps({
+    "code": code,
+    "out": out,
+    "metriclab": sorted(m for m in sys.modules if m.split(".")[0] == "metriclab"),
+    "heavy": [m for m in ("dataclasses", "inspect") if m in sys.modules],
+}))
+"""
+
+
+def _fresh(argv, stdin_text=""):
+    src = str(Path(metriclab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADS, *argv],
+        input=stdin_text, capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_each_verb_loads_only_its_own_modules():
+    core = {"metriclab", "metriclab.cli", "metriclab.errors"}
+    gen = _fresh(["gen", "hs", "--d", "6", "--k", "2"])
+    solve = _fresh(["solve", "md"], gen["out"])
+    vc = _fresh(["hyper", "vc"], "p hyper 3 3\n0 1\n1 2\n0 2\n")
+    help_ = _fresh(["--help"])
+    assert json.loads(solve["out"])["dimension"] == 2
+    for run, extra in (
+        (gen, {"config", "graphs", "extremal"}),
+        (solve, {"config", "graphs", "setcover", "hypergraphs", "resolving"}),
+        (vc, {"config", "graphs", "setcover", "hypergraphs"}),
+        (help_, set()),
+    ):
+        assert run["code"] == 0 and run["out"]
+        assert set(run["metriclab"]) == core | {f"metriclab.{m}" for m in extra}
+        assert run["heavy"] == []
+
+
+def test_lazy_choices_still_list_every_suite_and_bound(cli):
+    code, out, _ = cli(["verify", "--help"])
+    assert code == 0 and all(name in out for name in suite_names())
+    code, out, _ = cli(["bound", "--help"])
+    assert code == 0 and all(name in out for name in bound_names())
