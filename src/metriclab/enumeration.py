@@ -22,11 +22,24 @@ h1 >= h2 (0 for a missing branch), decide most sequences in O(n):
 Connected graphs are built level by level: every connected graph on
 n >= 2 vertices has a non-cut vertex, so attaching one new vertex to every
 nonempty neighborhood of every (n-1)-vertex representative reaches all of
-them. Duplicates are removed by an exhaustive scan of the candidate's
-invariant bucket. Each candidate is color-refined once; the coloring is
-kept with the bucket member, and the scan calls the backtracking search of
-``graphs.isomorphic`` directly, since the bucket key already covers that
-function's quick rejects.
+them. Candidates come in (base, mask) order and the first of each
+isomorphism class is kept, so the output is fixed by that order.
+
+- Orbit pruning, the half of McKay's canonical augmentation ("Isomorph-free
+  exhaustive generation", J. Algorithms 1998) that pays here: an
+  automorphism s of the base B maps the extension by mask m onto the one
+  by s(m). So only the least mask of each Aut(B)-orbit is scanned; Aut(B)
+  is found once per base by the color-preserving map search of
+  ``graphs.isomorphic``. A pruned candidate is isomorphic to the earlier
+  extension by its orbit's least mask, so it was never first in its
+  class, and the first of a class is the least of its orbit and never
+  pruned: the output is the unpruned scan's, graph for graph.
+- The rest is a bucket scan in the manner of McKay and Piperno ("Practical
+  graph isomorphism, II", 2014) without canonical labels. Each candidate
+  is color-refined once, the coloring is kept with the bucket member, and
+  a candidate is dropped when the exhaustive map search finds it in its
+  invariant bucket. The scan calls that search directly, since the bucket
+  key already covers the quick rejects of ``graphs.isomorphic``.
 
 Both streams are deterministic run to run and cached per order, because the
 check suites replay them many times in one process.
@@ -41,9 +54,11 @@ from .errors import DomainError
 from .graphs import (
     Graph,
     _color_preserving_map,
+    _color_preserving_maps,
     _invariant,
     _refined_colors,
     is_tree,
+    iter_bits,
     to_graph6,
 )
 
@@ -206,6 +221,33 @@ _conn_cache: dict[int, list[Graph]] = {}
 _conn_codes: dict[int, list[str]] = {}
 
 
+def _extensions(base: Graph) -> Iterator[Graph]:
+    """One-vertex extensions of base whose attachment mask is the least of
+    its Aut(base)-orbit, in ascending mask order."""
+    k = base.n
+    colors = _refined_colors(base)
+    # each automorphism as the image bit of every vertex
+    autos = [[1 << w for w in p] for p in _color_preserving_maps(base, colors, base, colors)]
+    seen = bytearray(1 << k)
+    for mask in range(1, 1 << k):
+        if seen[mask]:
+            continue
+        # no smaller mask of this orbit was kept, so mask is its least:
+        # mark its images so the rest of the orbit is skipped
+        bits = list(iter_bits(mask))
+        for img in autos:
+            image = 0
+            for v in bits:
+                image |= img[v]
+            seen[image] = 1
+        g = Graph(k + 1)
+        g.adj[:k] = base.adj
+        g.adj[k] = mask
+        for v in bits:
+            g.adj[v] |= 1 << k
+        yield g
+
+
 def _connected_exact(n: int) -> list[Graph]:
     if n in _conn_cache:
         return _conn_cache[n]
@@ -215,13 +257,7 @@ def _connected_exact(n: int) -> list[Graph]:
         buckets: dict[tuple, list[tuple[Graph, tuple[int, ...]]]] = {}
         order: list[Graph] = []
         for base in _connected_exact(n - 1):
-            for mask in range(1, 1 << (n - 1)):
-                g = Graph(n)
-                g.adj[: n - 1] = base.adj
-                g.adj[n - 1] = mask
-                for v in range(n - 1):
-                    if mask >> v & 1:
-                        g.adj[v] |= 1 << (n - 1)
+            for g in _extensions(base):
                 # one refinement per candidate, kept with the bucket member
                 colors = _refined_colors(g)
                 bucket = buckets.setdefault(_invariant(g, colors), [])

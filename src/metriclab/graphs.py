@@ -412,17 +412,31 @@ def format_edge_list(g: Graph) -> str:
 
 
 def _refined_colors(g: Graph) -> tuple[int, ...]:
+    """Stable coloring of 1-dimensional refinement, numbered canonically.
+
+    Each round a vertex's signature is its color followed by its number of
+    neighbors in each color class. That count vector and the sorted list of
+    neighbor colors determine each other, so every round splits the
+    vertices exactly as the classic multiset signature does and the rounds
+    stop together; only the numbers given to the classes differ. Colors
+    are the ranks of the sorted signatures, so isomorphic graphs get equal
+    color multisets and any isomorphism keeps the colors.
+    """
+    adj = g.adj
     colors = [0] * g.n
+    k = 1
     while True:
-        sigs = []
-        for v in range(g.n):
-            neigh = sorted(colors[u] for u in iter_bits(g.adj[v]))
-            sigs.append((colors[v], tuple(neigh)))
+        classes = [0] * k
+        for v, c in enumerate(colors):
+            classes[c] |= 1 << v
+        sigs = [(c, *[(a & m).bit_count() for m in classes]) for c, a in zip(colors, adj)]
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranks[s] for s in sigs]
-        if new == colors:
+        # a signature starts with the old color, so classes only split; no
+        # split means the coloring is stable
+        if len(ranks) == k:
             return tuple(colors)
-        colors = new
+        colors = [ranks[s] for s in sigs]
+        k = len(ranks)
 
 
 def _invariant(g: Graph, colors: tuple[int, ...]) -> tuple:
@@ -452,36 +466,36 @@ def isomorphic(g: Graph, h: Graph, maxn: int | None = None) -> bool:
 
 
 def _color_preserving_map(g: Graph, cg: tuple[int, ...], h: Graph, ch: tuple[int, ...]) -> bool:
-    """Backtracking search for an isomorphism g -> h that keeps the refined
-    colors; the caller has checked that the two color multisets agree."""
+    """Is there an isomorphism g -> h that keeps the refined colors?"""
+    return next(_color_preserving_maps(g, cg, h, ch), None) is not None
+
+
+def _color_preserving_maps(g: Graph, cg: tuple[int, ...], h: Graph, ch: tuple[int, ...]):
+    """Backtracking search for every isomorphism g -> h that keeps the
+    refined colors, each as the list image[v]; the caller has checked that
+    the two color multisets agree. One list is updated in place and yielded
+    each time, so copy it to keep a map. With h = g these are the
+    automorphisms of g."""
     by_color: dict[int, list[int]] = {}
     for w, c in enumerate(ch):
         by_color.setdefault(c, []).append(w)
     # assign rare colors first; within a color, higher degree first
     order = sorted(range(g.n), key=lambda v: (len(by_color[cg[v]]), -g.degree(v), v))
     image = [-1] * g.n
-    used = 0
 
-    def extend(k: int) -> bool:
-        nonlocal used
+    def extend(k: int, placed: int, used: int):
         if k == g.n:
-            return True
+            yield image
+            return
         v = order[k]
+        # w fits iff its neighbors among the used images are exactly the
+        # images of v's placed neighbors
+        want = 0
+        for u in iter_bits(g.adj[v] & placed):
+            want |= 1 << image[u]
         for w in by_color[cg[v]]:
-            if used >> w & 1:
-                continue
-            ok = True
-            for u in order[:k]:
-                if g.has_edge(u, v) != h.has_edge(image[u], w):
-                    ok = False
-                    break
-            if ok:
+            if not used >> w & 1 and h.adj[w] & used == want:
                 image[v] = w
-                used |= 1 << w
-                if extend(k + 1):
-                    return True
-                used &= ~(1 << w)
-                image[v] = -1
-        return False
+                yield from extend(k + 1, placed | 1 << v, used | 1 << w)
 
-    return extend(0)
+    return extend(0, 0, 0)

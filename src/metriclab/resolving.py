@@ -5,7 +5,9 @@ x covers the pair {u,v} iff d(x,u) != d(x,v). Twin classes (vertices with
 identical distance rows off the pair itself) are preselected up front: any
 resolving set must contain all but one of each class, and twins are
 interchangeable, so fixing the lexicographically smallest ones loses
-nothing. The remaining pairs go to the shared branch-and-bound engine.
+nothing. In a connected graph u and v are twins exactly when
+N(u) - {v} == N(v) - {u}, so the classes come from the adjacency masks.
+The remaining pairs go to the shared branch-and-bound engine.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import NamedTuple
 
 from .config import enforce_cap
 from .errors import DomainError, InternalError
-from .graphs import Graph, all_distances, is_connected, is_tree, iter_bits
+from .graphs import Graph, all_distances, bfs_distances, is_connected, is_tree, iter_bits
 from .hypergraphs import _balls, _first_centers, _is_test_cover
 from .setcover import min_cover
 
@@ -47,10 +49,6 @@ def _landmark_vectors(dist: list[list[int]], s) -> dict[int, tuple[int, ...]]:
     for x in landmarks:
         if not 0 <= x < len(dist):
             raise DomainError(f"landmark {x} out of range")
-    return _vectors(dist, landmarks)
-
-
-def _vectors(dist: list[list[int]], landmarks: list[int]) -> dict[int, tuple[int, ...]]:
     return {v: tuple(dist[x][v] for x in landmarks) for v in range(len(dist))}
 
 
@@ -65,18 +63,26 @@ def _resolves(dist: list[list[int]], s) -> bool:
     return len(set(_landmark_vectors(dist, s).values())) == len(dist)
 
 
-def _certificate(dist: list[list[int]], s: list[int]) -> ResolvingCertificate:
-    """Rebuild every resolving vector from the distance matrix and check
-    that they are pairwise distinct."""
-    landmarks = sorted(s)
-    vecs = _vectors(dist, landmarks)
-    ok = len(set(vecs.values())) == len(dist)
-    return ResolvingCertificate(landmarks, len(s), vecs, ok)
+def _certificate(rows: dict[int, list[int]], n: int) -> ResolvingCertificate:
+    """Rebuild every resolving vector from the distance rows of the
+    landmarks (the keys of rows) and check that the n vectors are pairwise
+    distinct."""
+    landmarks = sorted(rows)
+    vecs = {v: tuple(rows[x][v] for x in landmarks) for v in range(n)}
+    ok = len(set(vecs.values())) == n
+    return ResolvingCertificate(landmarks, len(landmarks), vecs, ok)
 
 
-def _twin_classes(dist: list[list[int]]) -> list[list[int]]:
-    """Group vertices whose distance rows agree everywhere off the pair."""
-    n = len(dist)
+def _tree_certificate(t: Graph, s: list[int]) -> ResolvingCertificate:
+    """_certificate from one BFS per landmark, not the whole matrix."""
+    return _certificate({x: bfs_distances(t, x) for x in s}, t.n)
+
+
+def _twin_classes(g: Graph) -> list[list[int]]:
+    """Group the vertices of a connected graph whose distance rows agree
+    everywhere off the pair, i.e. whose neighborhoods agree off the pair."""
+    n = g.n
+    adj = g.adj
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -87,7 +93,7 @@ def _twin_classes(dist: list[list[int]]) -> list[list[int]]:
 
     for u in range(n):
         for v in range(u + 1, n):
-            if all(dist[u][x] == dist[v][x] for x in range(n) if x != u and x != v):
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
                 parent[find(u)] = find(v)
     classes: dict[int, list[int]] = {}
     for v in range(n):
@@ -104,7 +110,7 @@ def metric_dimension_exact(g: Graph, maxn: int | None = None) -> ResolvingCertif
     dist = all_distances(g)
 
     preselected: list[int] = []
-    for cls in _twin_classes(dist):
+    for cls in _twin_classes(g):
         preselected.extend(cls[:-1])  # all but the largest of each class
 
     todo = [
@@ -130,7 +136,7 @@ def metric_dimension_exact(g: Graph, maxn: int | None = None) -> ResolvingCertif
             m |= c
         masks.append(m)
     chosen = min_cover(len(todo), masks)
-    cert = _certificate(dist, sorted(set(preselected) | set(chosen)))
+    cert = _certificate({x: dist[x] for x in set(preselected) | set(chosen)}, n)
     if not cert.verified:
         raise InternalError("metric_dimension_exact: the solver returned a non-resolving set")
     return cert
@@ -147,10 +153,10 @@ def tree_metric_dimension(t: Graph) -> ResolvingCertificate:
     if not is_tree(t):
         raise DomainError("tree_metric_dimension needs a tree")
     if t.n == 1:
-        return _certificate(all_distances(t), [])
+        return _tree_certificate(t, [])
     if all(t.degree(v) <= 2 for v in range(t.n)):
         endpoint = min(v for v in range(t.n) if t.degree(v) == 1)
-        return _certificate(all_distances(t), [endpoint])
+        return _tree_certificate(t, [endpoint])
 
     # walk from each leaf through degree-2 vertices to its major vertex
     legs_of: dict[int, list[int]] = {}
@@ -167,7 +173,7 @@ def tree_metric_dimension(t: Graph) -> ResolvingCertificate:
     for major in sorted(legs_of):
         witness.extend(sorted(legs_of[major])[:-1])
     nleaves = sum(1 for v in range(t.n) if t.degree(v) == 1)
-    cert = _certificate(all_distances(t), sorted(witness))
+    cert = _tree_certificate(t, witness)
     if len(witness) != nleaves - len(legs_of) or not cert.verified:
         raise InternalError("tree_metric_dimension: the leg witness is the wrong size or not resolving")
     return cert

@@ -90,6 +90,40 @@ def perm_isomorphic(g, h):
     return False
 
 
+def perm_automorphism_count(g):
+    """Order of Aut(g): the vertex permutations that keep the edge set."""
+    edges = {frozenset(e) for e in g.edges()}
+    return sum(
+        1
+        for perm in itertools.permutations(range(g.n))
+        if {frozenset((perm[u], perm[v])) for u, v in edges} == edges
+    )
+
+
+def reference_refined_colors(g):
+    """Color refinement as it was before the count-vector kernel: a vertex's
+    signature is its color and the sorted tuple of its neighbors' colors."""
+    colors = [0] * g.n
+    while True:
+        sigs = []
+        for v in range(g.n):
+            neigh = sorted(colors[u] for u in iter_bits(g.adj[v]))
+            sigs.append((colors[v], tuple(neigh)))
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranks[s] for s in sigs]
+        if new == colors:
+            return tuple(colors)
+        colors = new
+
+
+def color_partition(colors):
+    """The vertex classes of a coloring, without the color numbers."""
+    classes = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, set()).add(v)
+    return {frozenset(c) for c in classes.values()}
+
+
 # ---------------------------------------------------------------------------
 # chordality: search for an induced cycle of length >= 4
 
@@ -221,6 +255,21 @@ def reference_min_cover(universe_size: int, masks: list[int]) -> list[int]:
 
     dfs(0, [])
     return sorted(kept[i] for i in best)
+
+
+def twin_classes_by_rows(g):
+    """Vertex classes of twins: u and v are twins when their distance rows
+    agree everywhere off the pair (distances from fw_distances)."""
+    dist = fw_distances(g)
+    twins = {
+        v: frozenset(
+            u
+            for u in range(g.n)
+            if all(dist[u][x] == dist[v][x] for x in range(g.n) if x not in (u, v))
+        )
+        for v in range(g.n)
+    }
+    return set(twins.values())
 
 
 def naive_metric_dimension(g):

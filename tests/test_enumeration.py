@@ -16,6 +16,8 @@ from metriclab.enumeration import (
 from metriclab.errors import DomainError, TooLargeError
 from metriclab.graphs import (
     Graph,
+    _color_preserving_maps,
+    _refined_colors,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -28,6 +30,7 @@ from metriclab.graphs import (
 )
 from oracles import (
     free_tree_canonical,
+    perm_automorphism_count,
     perm_isomorphic,
     random_tree,
     reference_connected_graphs,
@@ -40,6 +43,9 @@ from oracles import (
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
 ROOTED_TREE_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842]
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
+# one-vertex extensions scanned per order n = 2..7 once masks that are not
+# the least of their Aut(base)-orbit are pruned (7056 at n = 7 without)
+PRUNED_CANDIDATE_COUNTS = [1, 2, 8, 44, 333, 3771]
 
 CORPUS = Path(__file__).parent / "data" / "connected8.g6"
 CORPUS_N8_COUNT = 11117
@@ -72,6 +78,24 @@ def test_connected_graphs_match_reference_scan_in_order():
     pool = by_order(enumerate_connected_graphs(7))
     for n in range(1, 8):
         assert adjacency(pool[n]) == adjacency(reference_connected_graphs(n))
+
+
+def test_orbit_pruning_scans_the_pinned_candidate_counts():
+    got = []
+    for n in range(2, 8):
+        bases = enumeration._connected_exact(n - 1)
+        got.append(sum(1 for base in bases for _ in enumeration._extensions(base)))
+    assert got == PRUNED_CANDIDATE_COUNTS
+
+
+def test_automorphism_group_orders_match_permutation_oracle():
+    for g in enumerate_connected_graphs(6):
+        colors = _refined_colors(g)
+        maps = [list(p) for p in _color_preserving_maps(g, colors, g, colors)]
+        assert len(maps) == perm_automorphism_count(g)
+        assert len({tuple(p) for p in maps}) == len(maps)
+        for p in maps:
+            assert g.relabeled(p) == g
 
 
 def test_rooted_sequence_counts():

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from metriclab.enumeration import enumerate_trees
+from metriclab.enumeration import enumerate_connected_graphs, enumerate_trees
 from metriclab.errors import DomainError, FormatError, TooLargeError
 from metriclab.extremal import gen_hs
 from metriclab.graphs import (
     MAX_VERTICES,
     Graph,
+    _refined_colors,
     all_distances,
     bfs_distances,
     biconnected_components,
@@ -313,6 +314,24 @@ def test_iso_invariant_respects_isomorphism():
         perm = list(range(9))
         rng.shuffle(perm)
         assert iso_invariant(g) == iso_invariant(g.relabeled(perm))
+
+
+def test_count_vector_refinement_keeps_the_sorted_tuple_partition():
+    rng = random.Random(6061)
+    graphs = list(enumerate_connected_graphs(7))
+    for _ in range(300):
+        n = rng.randrange(1, 11)
+        g = oracles.random_graph(rng, n, rng.choice((0.2, 0.4, 0.6, 0.8)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = g.relabeled(perm)
+        # the numbering is canonical: relabelling moves the colors along
+        colors = _refined_colors(h)
+        assert [colors[perm[v]] for v in range(n)] == list(_refined_colors(g))
+        graphs += [g, h]
+    for g in graphs:
+        got = oracles.color_partition(_refined_colors(g))
+        assert got == oracles.color_partition(oracles.reference_refined_colors(g))
 
 
 def test_isomorphic_cap():

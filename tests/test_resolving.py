@@ -10,6 +10,7 @@ import pytest
 import metriclab
 import metriclab.graphs
 from metriclab import hypergraphs, resolving, treedec
+from metriclab.enumeration import enumerate_connected_graphs
 from metriclab.errors import DomainError, InternalError, TooLargeError
 from metriclab.graphs import (
     Graph,
@@ -154,7 +155,7 @@ def test_solver_checks_survive_python_O():
         import pytest
         from metriclab import hypergraphs, resolving, treedec
         from metriclab.errors import InternalError
-        from metriclab.graphs import cycle_graph, path_graph
+        from metriclab.graphs import cycle_graph, path_graph, star_graph
 
         if __debug__:
             raise SystemExit("asserts are still on")
@@ -167,6 +168,10 @@ def test_solver_checks_survive_python_O():
         treedec._treewidth_core = lambda core: (0, list(range(core.n)))
         with pytest.raises(InternalError):
             treedec.treewidth_exact(cycle_graph(5))
+        real = resolving._tree_certificate
+        resolving._tree_certificate = lambda t, s: real(t, [0] * len(s))
+        with pytest.raises(InternalError):
+            resolving.tree_metric_dimension(star_graph(3))
         print("checked")
         """
     )
@@ -242,6 +247,32 @@ def test_tree_dimension_spider_and_caterpillar():
     cat = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (2, 6)])
     # leaves {0,3,4,5,6}, exterior majors {1,2}: dimension 3
     assert tree_metric_dimension(cat).dimension == 3
+
+
+def test_corrupted_tree_witness_is_refused(monkeypatch):
+    # spider with three legs of length 2 from hub 0: the witness is two
+    # leaves, and the hub alone resolves nothing
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+    real = resolving._tree_certificate
+    monkeypatch.setattr(resolving, "_tree_certificate", lambda t, s: real(t, [0] * len(s)))
+    with pytest.raises(InternalError, match="not resolving"):
+        tree_metric_dimension(g)
+    # the rows are rebuilt by BFS from each landmark, not taken on trust
+    monkeypatch.setattr(resolving, "_tree_certificate", real)
+    monkeypatch.setattr(resolving, "bfs_distances", lambda t, x: [0] * t.n)
+    with pytest.raises(InternalError, match="not resolving"):
+        tree_metric_dimension(g)
+
+
+def test_twin_classes_match_the_distance_row_definition():
+    rng = random.Random(2024)
+    graphs = list(enumerate_connected_graphs(7))
+    for _ in range(150):
+        n = rng.randrange(1, 25)
+        graphs.append(oracles.random_connected_graph(rng, n, rng.choice((0.0, 0.1, 0.5, 0.9))))
+    for g in graphs:
+        got = {frozenset(c) for c in resolving._twin_classes(g)}
+        assert got == oracles.twin_classes_by_rows(g)
 
 
 def test_tree_formula_matches_exact_solver():
