@@ -8,7 +8,7 @@ two kinds apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InternalError
 
@@ -85,8 +85,7 @@ def bound_md_vcdim(d: int, k: int, dvcstar: int) -> int:
     return (d * k + 1) ** dvcstar + 1
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     name: str
     params: dict
     value: int

@@ -110,7 +110,7 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# constructors used all over tests and generators
+# named families for examples and tests; the generators build their own
 
 
 def path_graph(n: int) -> Graph:

@@ -48,9 +48,10 @@ import json
 import math
 import random
 import time
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .bounds import bound_outerplanar, bound_tc_vc, bound_tree, bound_treedec
+from .config import enforce_cap
 from .enumeration import (
     _connected_graph6,
     enumerate_connected_graphs,
@@ -79,8 +80,7 @@ from .treedec import clique_tree, length, treewidth_exact, width
 SOLVER_CAP = 128
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     """One refuted claim: the instance, what was claimed, what was seen."""
 
     instance: str
@@ -89,18 +89,14 @@ class Failure:
     bound: str
     witness: str
 
-    def to_json(self) -> dict:
-        return asdict(self)
 
-
-@dataclass
 class SuiteReport:
-    suite: str
-    instances: int
-    failures: list[Failure]
-    elapsed: float
-    config: dict
-    extras: dict
+    __slots__ = ("suite", "instances", "failures", "elapsed", "config", "extras")
+
+    def __init__(self, suite: str, instances: int, failures: list[Failure],
+                 elapsed: float, config: dict, extras: dict):
+        self.suite, self.instances, self.failures = suite, instances, failures
+        self.elapsed, self.config, self.extras = elapsed, config, extras
 
     @property
     def passed(self) -> bool:
@@ -112,7 +108,7 @@ class SuiteReport:
             "suite": self.suite,
             "passed": self.passed,
             "instances": self.instances,
-            "failures": [f.to_json() for f in self.failures],
+            "failures": [f._asdict() for f in self.failures],
             "elapsed": self.elapsed,
             "config": self.config,
             "extras": self.extras,
@@ -484,6 +480,8 @@ def _suite_sauer_shelah(checks, nmax, seed, corpus):
     rng = random.Random(seed)
     for i in range(count):
         nverts = rng.randint(1, nmax)
+        # refused before its edges are drawn, which could take gigabytes
+        enforce_cap(nverts, SOLVER_CAP, "vc_n", "vc_dimension: nverts={n} exceeds cap {cap}")
         nedges = rng.randint(1, 2 * nverts)
         h = Hypergraph(nverts, [rng.getrandbits(nverts) for _ in range(nedges)])
         vcd = vc_dimension(h, maxn=SOLVER_CAP)[0]

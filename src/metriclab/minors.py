@@ -78,6 +78,17 @@ def _branch_set_search(g: Graph, t: int) -> bool:
     return dfs(0, 0)
 
 
+def _suppress(adj: list[int], v: int, push) -> tuple[int, int]:
+    """Replace the path a-v-b (a < b) by the edge ab in place; push each of
+    a, b whose degree falls to 2 (it was adjacent to the other). Returns (a, b)."""
+    a, b = iter_bits(adj[v])
+    for x, y in ((a, b), (b, a)):
+        if adj[x] >> y & 1 and adj[x].bit_count() == 3:
+            push(x)
+        adj[x] = adj[x] & ~(1 << v) | 1 << y
+    return a, b
+
+
 def _smooth(g: Graph) -> Graph:
     """Suppress degree-2 vertices until none remain or only a triangle is left.
 
@@ -95,11 +106,7 @@ def _smooth(g: Graph) -> Graph:
         v = heappop(todo)
         if adj[v].bit_count() != 2:
             continue
-        a, b = iter_bits(adj[v])
-        for x, y in ((a, b), (b, a)):
-            if adj[x] >> y & 1 and adj[x].bit_count() == 3:
-                heappush(todo, x)
-            adj[x] = adj[x] & ~(1 << v) | 1 << y
+        _suppress(adj, v, lambda x: heappush(todo, x))
         alive ^= 1 << v
         n -= 1
     smoothed = Graph(g.n)
@@ -164,13 +171,8 @@ def is_outerplanar(g: Graph) -> bool:
         for _ in range(len(block) - 3):
             if not todo:
                 return False
-            v = todo.pop()
-            u, w = iter_bits(adj[v])
-            if (u, w) in exposed:
+            edge = _suppress(adj, todo.pop(), todo.append)
+            if edge in exposed:
                 return False
-            exposed.add((u, w))
-            for x, y in ((u, w), (w, u)):
-                if adj[x] >> y & 1 and adj[x].bit_count() == 3:
-                    todo.append(x)
-                adj[x] = adj[x] & ~(1 << v) | 1 << y
+            exposed.add(edge)
     return True

@@ -1,5 +1,9 @@
 """Resolving sets, exact metric dimension, and the test-cover conversions.
 
+Checking a set S needs only the |S| BFS rows of its landmarks, not the
+all-pairs matrix; every check and certificate builds its vectors through
+``_certificate``.
+
 The exact solver reduces to minimum set cover over vertex pairs: a landmark
 x covers the pair {u,v} iff d(x,u) != d(x,v). Twin classes (vertices with
 identical distance rows off the pair itself) are preselected up front: any
@@ -36,46 +40,36 @@ class ResolvingCertificate(NamedTuple):
         }
 
 
-def resolving_vectors(g: Graph, s) -> dict[int, tuple[int, ...]]:
-    """Distance vector of every vertex to the landmark list (sorted order)."""
-    dist = all_distances(g)
-    if not dist or -1 in dist[0]:
-        raise DomainError("resolving sets are defined for connected nonempty graphs")
-    return _landmark_vectors(dist, s)
-
-
-def _landmark_vectors(dist: list[list[int]], s) -> dict[int, tuple[int, ...]]:
+def _certificate(row, s, n: int) -> ResolvingCertificate:
+    """Build the resolving vector of each of the n vertices from row(x), the
+    distance row of landmark x, and check that the n vectors are pairwise
+    distinct. Every landmark is range-checked before any row is built."""
     landmarks = sorted(set(s))
     for x in landmarks:
-        if not 0 <= x < len(dist):
+        if not 0 <= x < n:
             raise DomainError(f"landmark {x} out of range")
-    return {v: tuple(dist[x][v] for x in landmarks) for v in range(len(dist))}
+    rows = [row(x) for x in landmarks]
+    vecs = {v: tuple(r[v] for r in rows) for v in range(n)}
+    ok = len(set(vecs.values())) == n
+    return ResolvingCertificate(landmarks, len(landmarks), vecs, ok)
+
+
+def _bfs_certificate(g: Graph, s) -> ResolvingCertificate:
+    """_certificate from one BFS per landmark, not the whole matrix."""
+    return _certificate(lambda x: bfs_distances(g, x), s, g.n)
 
 
 def is_resolving(g: Graph, s) -> bool:
-    return _resolves(all_distances(g), s)
+    if g.n == 0 or not is_connected(g):
+        raise DomainError("resolving sets are defined for connected nonempty graphs")
+    return _bfs_certificate(g, s).verified
 
 
 def _resolves(dist: list[list[int]], s) -> bool:
     """is_resolving on a graph's distance matrix, with the same refusals."""
     if not dist or -1 in dist[0]:
         raise DomainError("resolving sets are defined for connected nonempty graphs")
-    return len(set(_landmark_vectors(dist, s).values())) == len(dist)
-
-
-def _certificate(rows: dict[int, list[int]], n: int) -> ResolvingCertificate:
-    """Rebuild every resolving vector from the distance rows of the
-    landmarks (the keys of rows) and check that the n vectors are pairwise
-    distinct."""
-    landmarks = sorted(rows)
-    vecs = {v: tuple(rows[x][v] for x in landmarks) for v in range(n)}
-    ok = len(set(vecs.values())) == n
-    return ResolvingCertificate(landmarks, len(landmarks), vecs, ok)
-
-
-def _tree_certificate(t: Graph, s: list[int]) -> ResolvingCertificate:
-    """_certificate from one BFS per landmark, not the whole matrix."""
-    return _certificate({x: bfs_distances(t, x) for x in s}, t.n)
+    return _certificate(dist.__getitem__, s, len(dist)).verified
 
 
 def _twin_classes(g: Graph) -> list[list[int]]:
@@ -136,7 +130,7 @@ def metric_dimension_exact(g: Graph, maxn: int | None = None) -> ResolvingCertif
             m |= c
         masks.append(m)
     chosen = min_cover(len(todo), masks)
-    cert = _certificate({x: dist[x] for x in set(preselected) | set(chosen)}, n)
+    cert = _certificate(dist.__getitem__, preselected + chosen, n)
     if not cert.verified:
         raise InternalError("metric_dimension_exact: the solver returned a non-resolving set")
     return cert
@@ -153,10 +147,10 @@ def tree_metric_dimension(t: Graph) -> ResolvingCertificate:
     if not is_tree(t):
         raise DomainError("tree_metric_dimension needs a tree")
     if t.n == 1:
-        return _tree_certificate(t, [])
+        return _bfs_certificate(t, [])
     if all(t.degree(v) <= 2 for v in range(t.n)):
         endpoint = min(v for v in range(t.n) if t.degree(v) == 1)
-        return _tree_certificate(t, [endpoint])
+        return _bfs_certificate(t, [endpoint])
 
     # walk from each leaf through degree-2 vertices to its major vertex
     legs_of: dict[int, list[int]] = {}
@@ -173,7 +167,7 @@ def tree_metric_dimension(t: Graph) -> ResolvingCertificate:
     for major in sorted(legs_of):
         witness.extend(sorted(legs_of[major])[:-1])
     nleaves = sum(1 for v in range(t.n) if t.degree(v) == 1)
-    cert = _tree_certificate(t, witness)
+    cert = _bfs_certificate(t, witness)
     if len(witness) != nleaves - len(legs_of) or not cert.verified:
         raise InternalError("tree_metric_dimension: the leg witness is the wrong size or not resolving")
     return cert

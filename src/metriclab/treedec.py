@@ -1,5 +1,5 @@
-"""Tree decompositions: validation, width/length, reduction, clique trees,
-exact treewidth, and the internal-bags-are-cutsets self-test.
+"""Tree decompositions: validation, width/length, reduction, clique trees
+and exact treewidth.
 
 A decomposition keeps a reference to its host graph; bag distances (length)
 are host distances, not induced ones. Validation reports violations as data
@@ -9,35 +9,33 @@ so callers can show them; the other operations refuse invalid input.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from .config import enforce_cap
 from .errors import DomainError, FormatError, InternalError
-from .graphs import Graph, all_distances, is_chordal, is_connected, iter_bits, mcs_order
+from .graphs import Graph, all_distances, is_chordal, iter_bits, mcs_order
 
 
-@dataclass(frozen=True)
 class TreeDecomposition:
     """Bags over a host graph, joined by tree edges.
 
     Nothing mutates ``host`` after construction, so the violation report
-    is computed once per decomposition and cached.
+    is computed once, on construction.
     """
 
-    host: Graph
-    bags: tuple
-    tree_edges: tuple
+    __slots__ = ("host", "bags", "tree_edges", "_violations")
 
     def __init__(self, host: Graph, bags: Iterable, tree_edges: Iterable):
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "bags", tuple(frozenset(b) for b in bags))
-        norm = sorted(tuple(sorted(e)) for e in tree_edges)
-        object.__setattr__(self, "tree_edges", tuple(norm))
+        self.host = host
+        self.bags = tuple(frozenset(b) for b in bags)
+        self.tree_edges = tuple(sorted(tuple(sorted(e)) for e in tree_edges))
+        self._violations = self._check()
 
-    @cached_property
-    def _violations(self) -> tuple[str, ...]:
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, TreeDecomposition) and self.host == other.host
+                and self.bags == other.bags and self.tree_edges == other.tree_edges)
+
+    def _check(self) -> tuple[str, ...]:
         out = []
         nb = len(self.bags)
         n = self.host.n
@@ -114,9 +112,9 @@ def width(td: TreeDecomposition) -> int:
 
 def length(td: TreeDecomposition) -> int:
     _require_valid(td)
-    if not is_connected(td.host):
-        raise DomainError("length needs a connected host graph")
     dist = all_distances(td.host)
+    if dist and -1 in dist[0]:
+        raise DomainError("length needs a connected host graph")
     best = 0
     for bag in td.bags:
         vs = sorted(bag)
@@ -124,13 +122,6 @@ def length(td: TreeDecomposition) -> int:
             for b in range(a + 1, len(vs)):
                 best = max(best, dist[vs[a]][vs[b]])
     return best
-
-
-def is_reduced(td: TreeDecomposition) -> bool:
-    for i, j in td.tree_edges:
-        if td.bags[i] <= td.bags[j] or td.bags[j] <= td.bags[i]:
-            return False
-    return True
 
 
 def reduce(td: TreeDecomposition) -> TreeDecomposition:
@@ -395,53 +386,6 @@ def treewidth_exact(g: Graph, maxn: int | None = None) -> tuple[int, TreeDecompo
     if td._violations or width(td) != tw:
         raise InternalError("treewidth_exact: the decomposition does not certify the width")
     return tw, td
-
-
-def nonleaf_bags_are_cutsets(td: TreeDecomposition) -> tuple[bool, int | None]:
-    """Does removing each internal bag disconnect the host? Returns the first
-    counterexample bag index if any. Needs a valid reduced decomposition of a
-    connected host."""
-    _require_valid(td)
-    if not is_reduced(td):
-        raise DomainError("decomposition is not reduced")
-    if not is_connected(td.host):
-        raise DomainError("host graph is disconnected")
-    deg = [0] * len(td.bags)
-    for i, j in td.tree_edges:
-        deg[i] += 1
-        deg[j] += 1
-    for i, bag in enumerate(td.bags):
-        if deg[i] < 2:
-            continue
-        rest = [v for v in range(td.host.n) if v not in bag]
-        sub = td.host.induced(rest)
-        if sub.n and is_connected(sub):
-            return False, i
-    return True, None
-
-
-def hanging_subtrees(td: TreeDecomposition, i: int) -> list[frozenset]:
-    """Vertex sets of the subtrees of T - bag i, each minus bag i itself,
-    ordered by the neighbor bag index they hang from."""
-    _require_valid(td)
-    adj = [[] for _ in td.bags]
-    for a, b in td.tree_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    out = []
-    for start in sorted(adj[i]):
-        comp = {start}
-        stack = [start]
-        while stack:
-            for j in adj[stack.pop()]:
-                if j != i and j not in comp:
-                    comp.add(j)
-                    stack.append(j)
-        verts = set()
-        for j in comp:
-            verts |= td.bags[j]
-        out.append(frozenset(verts - td.bags[i]))
-    return out
 
 
 def format_pace(td: TreeDecomposition) -> str:

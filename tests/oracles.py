@@ -18,10 +18,12 @@ from metriclab.graphs import (
     Graph,
     biconnected_components,
     iso_invariant,
+    is_connected,
     isomorphic,
     iter_bits,
     to_graph6,
 )
+from metriclab.treedec import _require_valid
 
 INF = float("inf")
 
@@ -129,8 +131,6 @@ def color_partition(colors):
 
 
 def chordal_by_definition(g):
-    from metriclab.graphs import is_connected
-
     for size in range(4, g.n + 1):
         for sub in itertools.combinations(range(g.n), size):
             ind = g.induced(sub)
@@ -272,6 +272,13 @@ def twin_classes_by_rows(g):
     return set(twins.values())
 
 
+def resolving_vectors(g, s):
+    """Distance vector of every vertex to the sorted landmarks, from fw_distances."""
+    dist = fw_distances(g)
+    landmarks = sorted(set(s))
+    return {v: tuple(dist[x][v] for x in landmarks) for v in range(g.n)}
+
+
 def naive_metric_dimension(g):
     dm = fw_distances(g)
     for r in range(g.n + 1):
@@ -376,6 +383,64 @@ def brute_max_clique(g):
             if all(g.has_edge(u, v) for u, v in itertools.combinations(sub, 2)):
                 return size
     return 0
+
+
+# ---------------------------------------------------------------------------
+# reduced decompositions: the paper's cutset and hanging-subtree devices
+
+
+def is_reduced(td) -> bool:
+    for i, j in td.tree_edges:
+        if td.bags[i] <= td.bags[j] or td.bags[j] <= td.bags[i]:
+            return False
+    return True
+
+
+def nonleaf_bags_are_cutsets(td) -> tuple[bool, int | None]:
+    """Does removing each internal bag disconnect the host? Returns the first
+    counterexample bag index if any. Needs a valid reduced decomposition of a
+    connected host."""
+    _require_valid(td)
+    if not is_reduced(td):
+        raise DomainError("decomposition is not reduced")
+    if not is_connected(td.host):
+        raise DomainError("host graph is disconnected")
+    deg = [0] * len(td.bags)
+    for i, j in td.tree_edges:
+        deg[i] += 1
+        deg[j] += 1
+    for i, bag in enumerate(td.bags):
+        if deg[i] < 2:
+            continue
+        rest = [v for v in range(td.host.n) if v not in bag]
+        sub = td.host.induced(rest)
+        if sub.n and is_connected(sub):
+            return False, i
+    return True, None
+
+
+def hanging_subtrees(td, i: int) -> list[frozenset]:
+    """Vertex sets of the subtrees of T - bag i, each minus bag i itself,
+    ordered by the neighbor bag index they hang from."""
+    _require_valid(td)
+    adj = [[] for _ in td.bags]
+    for a, b in td.tree_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    out = []
+    for start in sorted(adj[i]):
+        comp = {start}
+        stack = [start]
+        while stack:
+            for j in adj[stack.pop()]:
+                if j != i and j not in comp:
+                    comp.add(j)
+                    stack.append(j)
+        verts = set()
+        for j in comp:
+            verts |= td.bags[j]
+        out.append(frozenset(verts - td.bags[i]))
+    return out
 
 
 # ---------------------------------------------------------------------------

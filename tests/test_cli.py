@@ -351,12 +351,21 @@ def test_each_verb_loads_only_its_own_modules():
     solve = _fresh(["solve", "md"], gen["out"])
     vc = _fresh(["hyper", "vc"], "p hyper 3 3\n0 1\n1 2\n0 2\n")
     help_ = _fresh(["--help"])
+    td = _fresh(["td", "tw", "--decomp", "-"], gen["out"])
+    bound = _fresh(["bound", "trivial", "--d", "3", "--k", "2"])
+    verify = _fresh(["verify", "grid_chain", "--nmax", "2"])
     assert json.loads(solve["out"])["dimension"] == 2
+    assert td["out"].startswith("s td ")
+    every = {"config", "graphs", "setcover", "hypergraphs", "resolving", "extremal",
+             "enumeration", "minors", "treedec", "bounds", "harness"}
     for run, extra in (
         (gen, {"config", "graphs", "extremal"}),
         (solve, {"config", "graphs", "setcover", "hypergraphs", "resolving"}),
         (vc, {"config", "graphs", "setcover", "hypergraphs"}),
         (help_, set()),
+        (td, {"config", "graphs", "treedec"}),
+        (bound, {"bounds"}),
+        (verify, every),
     ):
         assert run["code"] == 0 and run["out"]
         assert set(run["metriclab"]) == core | {f"metriclab.{m}" for m in extra}

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -263,6 +264,21 @@ def test_reports_are_deterministic():
     assert zeroed(run_suite("sauer_shelah")) == zeroed(run_suite("sauer_shelah"))
 
 
+def test_sauer_shelah_refuses_an_instance_before_drawing_it():
+    # the first draw at seed 1729 has 85688 vertices: refused with the
+    # solver's own message before up to 2 * 85688 edges of as many bits each
+    # are drawn
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError) as err:
+            run_suite("sauer_shelah", nmax=100000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "vc_dimension: nverts=85688 exceeds cap 128"
+    assert peak < 4 * 2**20
+
+
 def test_seed_is_recorded_and_changes_nothing_else():
     default = run_suite("sauer_shelah")
     assert default.config["seed"] == 1729
@@ -317,10 +333,10 @@ def test_generator_sweep_nmax_domains():
 
 def test_failure_tuple_is_stable():
     f = Failure("a", "b", "c", "d", "e")
-    assert f.to_json() == {
-        "instance": "a",
-        "claim": "b",
-        "measured": "c",
-        "bound": "d",
-        "witness": "e",
-    }
+    assert list(f._asdict().items()) == [
+        ("instance", "a"),
+        ("claim", "b"),
+        ("measured", "c"),
+        ("bound", "d"),
+        ("witness", "e"),
+    ]

@@ -26,7 +26,6 @@ from metriclab.resolving import (
     is_resolving,
     metric_dimension_exact,
     resolving_to_test_cover,
-    resolving_vectors,
     tree_metric_dimension,
 )
 from metriclab.resolving import test_cover_to_resolving as cover_to_resolving
@@ -65,7 +64,7 @@ def test_is_resolving_rejects_bad_input():
 
 
 def test_resolving_vectors_shape():
-    vecs = resolving_vectors(path_graph(3), [2, 0])
+    vecs = oracles.resolving_vectors(path_graph(3), [2, 0])
     # landmarks are sorted, so coordinates read (d to 0, d to 2)
     assert vecs == {0: (0, 2), 1: (1, 1), 2: (2, 0)}
 
@@ -93,6 +92,7 @@ def test_exact_matches_naive_on_random_connected_graphs():
         naive_dim, _ = oracles.naive_metric_dimension(g)
         assert cert.dimension == naive_dim
         assert cert.verified
+        assert cert.vectors == oracles.resolving_vectors(g, cert.vertices)
         assert is_resolving(g, cert.vertices)
 
 
@@ -114,6 +114,8 @@ def test_solver_computes_the_distance_matrix_once(monkeypatch):
         return real(g, source)
 
     monkeypatch.setattr(metriclab.graphs, "bfs_distances", counting)
+    # resolving's own name for it, which the patch above does not reach
+    monkeypatch.setattr(resolving, "bfs_distances", counting)
     cert = metric_dimension_exact(path_graph(10))
     assert cert.verified and cert.vertices == [0]
     assert cert.vectors == {v: (v,) for v in range(10)}
@@ -128,10 +130,18 @@ def test_solver_computes_the_distance_matrix_once(monkeypatch):
     calls.clear()
     assert len(cover_to_resolving(path_graph(10), cover)) <= len(cover)
     assert len(calls) <= 11
-    # is_resolving refuses disconnected graphs from the matrix itself
+    # is_resolving: one connectivity sweep, then one sweep per landmark
     calls.clear()
     assert is_resolving(path_graph(10), [0])
-    assert len(calls) <= 10
+    assert calls == [0, 0]
+    calls.clear()
+    assert not is_resolving(path_graph(10), [4, 4])  # 3 and 5 tie
+    assert calls == [0, 4]
+    # a landmark out of range is refused before any landmark sweep
+    calls.clear()
+    with pytest.raises(DomainError, match="landmark 12 out of range"):
+        is_resolving(path_graph(10), [4, 12])
+    assert calls == [0]
 
 
 def test_solvers_check_their_answers(monkeypatch):
@@ -168,8 +178,8 @@ def test_solver_checks_survive_python_O():
         treedec._treewidth_core = lambda core: (0, list(range(core.n)))
         with pytest.raises(InternalError):
             treedec.treewidth_exact(cycle_graph(5))
-        real = resolving._tree_certificate
-        resolving._tree_certificate = lambda t, s: real(t, [0] * len(s))
+        real = resolving._bfs_certificate
+        resolving._bfs_certificate = lambda t, s: real(t, [0] * len(s))
         with pytest.raises(InternalError):
             resolving.tree_metric_dimension(star_graph(3))
         print("checked")
@@ -253,12 +263,12 @@ def test_corrupted_tree_witness_is_refused(monkeypatch):
     # spider with three legs of length 2 from hub 0: the witness is two
     # leaves, and the hub alone resolves nothing
     g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-    real = resolving._tree_certificate
-    monkeypatch.setattr(resolving, "_tree_certificate", lambda t, s: real(t, [0] * len(s)))
+    real = resolving._bfs_certificate
+    monkeypatch.setattr(resolving, "_bfs_certificate", lambda t, s: real(t, [0] * len(s)))
     with pytest.raises(InternalError, match="not resolving"):
         tree_metric_dimension(g)
     # the rows are rebuilt by BFS from each landmark, not taken on trust
-    monkeypatch.setattr(resolving, "_tree_certificate", real)
+    monkeypatch.setattr(resolving, "_bfs_certificate", real)
     monkeypatch.setattr(resolving, "bfs_distances", lambda t, x: [0] * t.n)
     with pytest.raises(InternalError, match="not resolving"):
         tree_metric_dimension(g)

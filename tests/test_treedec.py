@@ -20,10 +20,7 @@ from metriclab.treedec import (
     TreeDecomposition,
     clique_tree,
     format_pace,
-    hanging_subtrees,
-    is_reduced,
     length,
-    nonleaf_bags_are_cutsets,
     parse_pace,
     reduce,
     treewidth_exact,
@@ -34,6 +31,9 @@ from metriclab.treedec import (
 from oracles import (
     brute_max_clique,
     brute_treewidth,
+    hanging_subtrees,
+    is_reduced,
+    nonleaf_bags_are_cutsets,
     random_connected_graph,
     random_graph,
     random_tree,
