@@ -30,16 +30,23 @@ isomorphism class is kept, so the output is fixed by that order.
   automorphism s of the base B maps the extension by mask m onto the one
   by s(m). So only the least mask of each Aut(B)-orbit is scanned; Aut(B)
   is found once per base by the color-preserving map search of
-  ``graphs.isomorphic``. A pruned candidate is isomorphic to the earlier
-  extension by its orbit's least mask, so it was never first in its
-  class, and the first of a class is the least of its orbit and never
-  pruned: the output is the unpruned scan's, graph for graph.
+  ``graphs.isomorphic``, from the base's prepared record to itself. A
+  pruned candidate is isomorphic to the earlier extension by its orbit's
+  least mask, so it was never first in its class, and the first of a
+  class is the least of its orbit and never pruned: the output is the
+  unpruned scan's, graph for graph.
 - The rest is a bucket scan in the manner of McKay and Piperno ("Practical
   graph isomorphism, II", 2014) without canonical labels. Each candidate
-  is color-refined once, the coloring is kept with the bucket member, and
-  a candidate is dropped when the exhaustive map search finds it in its
-  invariant bucket. The scan calls that search directly, since the bucket
-  key already covers the quick rejects of ``graphs.isomorphic``.
+  is color-refined once, and its bucket key is the class sizes of the
+  stable coloring with its quotient (the sorted final signatures, the
+  quotient matrix of the equitable partition that refinement-based tools
+  start from; it fixes n, m and the degree sequence). A candidate whose
+  bucket is empty is kept with no search. Otherwise it is prepared once
+  (its search order) and tried by the exhaustive map search against each
+  member's prepared record (its colors and color classes), and dropped
+  when one map exists. The records live only as long as the scan of their
+  level; the level cache keeps the graphs. The same scan refuses
+  isomorphic duplicates in a graph6 corpus (``harness``).
 
 Both streams are deterministic run to run and cached per order, because the
 check suites replay them many times in one process.
@@ -47,7 +54,7 @@ check suites replay them many times in one process.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .config import enforce_cap
 from .errors import DomainError
@@ -56,6 +63,7 @@ from .graphs import (
     _color_preserving_map,
     _color_preserving_maps,
     _invariant,
+    _prepared,
     _refined_colors,
     is_tree,
     iter_bits,
@@ -225,9 +233,9 @@ def _extensions(base: Graph) -> Iterator[Graph]:
     """One-vertex extensions of base whose attachment mask is the least of
     its Aut(base)-orbit, in ascending mask order."""
     k = base.n
-    colors = _refined_colors(base)
+    rec = _prepared(base, _refined_colors(base)[0])
     # each automorphism as the image bit of every vertex
-    autos = [[1 << w for w in p] for p in _color_preserving_maps(base, colors, base, colors)]
+    autos = [[1 << w for w in p] for p in _color_preserving_maps(rec, rec)]
     seen = bytearray(1 << k)
     for mask in range(1, 1 << k):
         if seen[mask]:
@@ -248,22 +256,33 @@ def _extensions(base: Graph) -> Iterator[Graph]:
         yield g
 
 
+def _first_of_class(graphs: Iterable[Graph]) -> Iterator[tuple[Graph, int | None]]:
+    """Each graph with None when it is the first of its isomorphism class
+    so far, else with the position of that first graph in the stream.
+
+    One refinement per graph gives its bucket key; a graph whose bucket is
+    not empty is prepared for the map search and tried against each member.
+    The records live in the buckets, so they go when the scan ends."""
+    buckets: dict[tuple, list[tuple[int, tuple]]] = {}
+    for i, g in enumerate(graphs):
+        colors, quotient = _refined_colors(g)
+        bucket = buckets.setdefault(_invariant(colors, quotient), [])
+        # a source needs its search order; a first member is only a target
+        rec = _prepared(g, colors, search=bool(bucket))
+        first = next((j for j, h in bucket if _color_preserving_map(rec, h)), None)
+        if first is None:
+            bucket.append((i, rec))
+        yield g, first
+
+
 def _connected_exact(n: int) -> list[Graph]:
     if n in _conn_cache:
         return _conn_cache[n]
     if n == 1:
         level, codes = [Graph(1)], ["@"]
     else:
-        buckets: dict[tuple, list[tuple[Graph, tuple[int, ...]]]] = {}
-        order: list[Graph] = []
-        for base in _connected_exact(n - 1):
-            for g in _extensions(base):
-                # one refinement per candidate, kept with the bucket member
-                colors = _refined_colors(g)
-                bucket = buckets.setdefault(_invariant(g, colors), [])
-                if not any(_color_preserving_map(g, colors, h, hc) for h, hc in bucket):
-                    bucket.append((g, colors))
-                    order.append(g)
+        candidates = (g for base in _connected_exact(n - 1) for g in _extensions(base))
+        order = [g for g, first in _first_of_class(candidates) if first is None]
         coded = sorted(zip(map(to_graph6, order), order), key=lambda cg: cg[0])
         codes, level = [c for c, _ in coded], [g for _, g in coded]
     _conn_cache[n] = level

@@ -311,6 +311,11 @@ def biconnected_components(g: Graph) -> list[list[int]]:
 # graph6 codec (formats for n <= 62 and the '~'-prefixed form to 258047)
 
 
+# the six body bits of each graph6 character, most significant first, and back
+_G6_BITS = {63 + v: format(v, "06b") for v in range(64)}
+_G6_CHARS = {bits: chr(c) for c, bits in _G6_BITS.items()}
+
+
 def to_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
@@ -319,19 +324,13 @@ def to_graph6(g: Graph) -> str:
         head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     else:
         raise TooLargeError(f"graph6 encoding beyond {MAX_VERTICES} vertices not supported")
-    bits = []
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append(col >> i & 1)
-    body = []
-    for k in range(0, len(bits), 6):
-        chunk = bits[k : k + 6] + [0] * (6 - len(bits[k : k + 6]))
-        val = 0
-        for b in chunk:
-            val = val << 1 | b
-        body.append(chr(val + 63))
-    return head + "".join(body)
+    # column j holds the j bits of rows i < j, row 0 first: its adjacency
+    # mask below j, written in binary and read backwards
+    bits = "".join(
+        format(a & ((1 << j) - 1), "b").zfill(j)[::-1] for j, a in enumerate(g.adj) if j
+    )
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join([_G6_CHARS[bits[k : k + 6]] for k in range(0, len(bits), 6)])
 
 
 def parse_graph6(text: str) -> Graph:
@@ -340,31 +339,37 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise FormatError("empty graph6 string")
-    data = [ord(c) - 63 for c in s]
-    if any(v < 0 or v > 63 for v in data):
+    if min(s) < "?" or max(s) > "~":
         raise FormatError("graph6 characters must be in chr(63)..chr(126)")
-    if data[0] == 63:  # '~'
-        if len(data) >= 2 and data[1] == 63:
+    if s[0] == "~":
+        if s[1:2] == "~":
             raise TooLargeError(f"graph6 '~~' form (n > {MAX_VERTICES}) not supported")
-        if len(data) < 4:
+        if len(s) < 4:
             raise FormatError("truncated graph6 header")
-        n = data[1] << 12 | data[2] << 6 | data[3]
-        body = data[4:]
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | (ord(s[3]) - 63)
+        body = s[4:]
     else:
-        n = data[0]
-        body = data[1:]
+        n = ord(s[0]) - 63
+        body = s[1:]
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise FormatError(
             f"graph6 body has {len(body)} characters, expected {(nbits + 5) // 6} for n={n}"
         )
+    bits = body.translate(_G6_BITS)
     g = Graph(n)
+    adj = g.adj
     k = 0
     for j in range(1, n):
-        for i in range(j):
-            if body[k // 6] >> (5 - k % 6) & 1:
-                g.add_edge(i, j)
-            k += 1
+        # column j, row 0 first, read backwards is j's mask of rows below j
+        col = int(bits[k : k + j][::-1], 2)
+        k += j
+        adj[j] |= col
+        # mirror each edge ij into row i
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= 1 << j
+            col ^= low
     return g
 
 
@@ -411,44 +416,70 @@ def format_edge_list(g: Graph) -> str:
 # isomorphism: 1-dimensional color refinement, then backtracking
 
 
-def _refined_colors(g: Graph) -> tuple[int, ...]:
-    """Stable coloring of 1-dimensional refinement, numbered canonically.
+def _refined_colors(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Stable coloring of 1-dimensional refinement, numbered canonically,
+    and its quotient.
 
-    Each round a vertex's signature is its color followed by its number of
-    neighbors in each color class. That count vector and the sorted list of
-    neighbor colors determine each other, so every round splits the
-    vertices exactly as the classic multiset signature does and the rounds
-    stop together; only the numbers given to the classes differ. Colors
-    are the ranks of the sorted signatures, so isomorphic graphs get equal
-    color multisets and any isomorphism keeps the colors.
+    The first coloring is the degree rank. Each round a vertex's signature
+    is its color followed by its number of neighbors in each color class,
+    packed into one int of b = n.bit_length() bits per count, so int order
+    is the order of the (color, counts) tuples. That count vector and the
+    sorted list of neighbor colors determine each other, so every round
+    splits the vertices exactly as the classic multiset signature does and
+    the rounds stop together; only the numbers given to the classes
+    differ. Colors are the ranks of the sorted signatures, so isomorphic
+    graphs get equal color multisets and any isomorphism keeps the colors.
+    The quotient is the sorted tuple of the distinct final signatures: the
+    quotient matrix of the equitable partition, an isomorphism invariant
+    that with the class sizes fixes the degree sequence, so n and m too.
     """
     adj = g.adj
-    colors = [0] * g.n
-    k = 1
+    degrees = [a.bit_count() for a in adj]
+    ranks = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    colors = [ranks[d] for d in degrees]
+    b = g.n.bit_length()
     while True:
-        classes = [0] * k
+        classes = [0] * len(ranks)
         for v, c in enumerate(colors):
             classes[c] |= 1 << v
-        sigs = [(c, *[(a & m).bit_count() for m in classes]) for c, a in zip(colors, adj)]
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        sigs = []
+        for sig, a in zip(colors, adj):
+            for m in classes:
+                sig = sig << b | (a & m).bit_count()
+            sigs.append(sig)
+        quotient = sorted(set(sigs))
         # a signature starts with the old color, so classes only split; no
         # split means the coloring is stable
-        if len(ranks) == k:
-            return tuple(colors)
+        if len(quotient) == len(classes):
+            return tuple(colors), tuple(quotient)
+        ranks = {s: i for i, s in enumerate(quotient)}
         colors = [ranks[s] for s in sigs]
-        k = len(ranks)
 
 
-def _invariant(g: Graph, colors: tuple[int, ...]) -> tuple:
-    triangles = sum(
-        (g.adj[u] & g.adj[v]).bit_count() for u, v in g.edges()
-    ) // 3
-    return (g.n, g.m, g.degree_sequence(), tuple(sorted(colors)), triangles)
+def _invariant(colors: tuple[int, ...], quotient: tuple[int, ...]) -> tuple:
+    """The bucket key of a refined coloring: its class sizes and quotient."""
+    return tuple(sorted(colors)), quotient
 
 
 def iso_invariant(g: Graph) -> tuple:
     """Cheap isomorphism-invariant key for bucketing before exact checks."""
-    return _invariant(g, _refined_colors(g))
+    return _invariant(*_refined_colors(g))
+
+
+def _prepared(g: Graph, colors: tuple[int, ...], search: bool = True) -> tuple:
+    """What the map search reads of g: (adj, colors, by_color, order).
+    by_color lists the vertices of each color, for g as a target; order is
+    the assignment order for g as a source (rare colors first, then higher
+    degree, then index), None unless search."""
+    by_color: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v, c in enumerate(colors):
+        by_color[c].append(v)
+    order = None
+    if search:
+        n, adj = g.n, g.adj
+        key = [len(by_color[c]) * (n + 1) + n - a.bit_count() for c, a in zip(colors, adj)]
+        order = sorted(range(n), key=key.__getitem__)
+    return g.adj, colors, by_color, order
 
 
 def isomorphic(g: Graph, h: Graph, maxn: int | None = None) -> bool:
@@ -458,43 +489,44 @@ def isomorphic(g: Graph, h: Graph, maxn: int | None = None) -> bool:
         return True
     if g.degree_sequence() != h.degree_sequence():
         return False
-    cg, ch = _refined_colors(g), _refined_colors(h)
-    if sorted(cg) != sorted(ch):
+    (cg, qg), (ch, qh) = _refined_colors(g), _refined_colors(h)
+    if qg != qh or sorted(cg) != sorted(ch):
         return False
     enforce_cap(g.n, maxn, "iso_n", "isomorphism: n={n} exceeds cap {cap}")
-    return _color_preserving_map(g, cg, h, ch)
+    return _color_preserving_map(_prepared(g, cg), _prepared(h, ch, search=False))
 
 
-def _color_preserving_map(g: Graph, cg: tuple[int, ...], h: Graph, ch: tuple[int, ...]) -> bool:
+def _color_preserving_map(g: tuple, h: tuple) -> bool:
     """Is there an isomorphism g -> h that keeps the refined colors?"""
-    return next(_color_preserving_maps(g, cg, h, ch), None) is not None
+    return next(_color_preserving_maps(g, h), None) is not None
 
 
-def _color_preserving_maps(g: Graph, cg: tuple[int, ...], h: Graph, ch: tuple[int, ...]):
+def _color_preserving_maps(g: tuple, h: tuple):
     """Backtracking search for every isomorphism g -> h that keeps the
-    refined colors, each as the list image[v]; the caller has checked that
-    the two color multisets agree. One list is updated in place and yielded
-    each time, so copy it to keep a map. With h = g these are the
-    automorphisms of g."""
-    by_color: dict[int, list[int]] = {}
-    for w, c in enumerate(ch):
-        by_color.setdefault(c, []).append(w)
-    # assign rare colors first; within a color, higher degree first
-    order = sorted(range(g.n), key=lambda v: (len(by_color[cg[v]]), -g.degree(v), v))
-    image = [-1] * g.n
+    refined colors, each as the list image[v]. g and h are ``_prepared``
+    records, g with its search order, whose color multisets agree. One list
+    is updated in place and yielded each time, so copy it to keep a map.
+    With h = g these are the automorphisms of g."""
+    gadj, gcolors, _, order = g
+    hadj, _, by_color, _ = h
+    n = len(gadj)
+    image = [-1] * n
 
     def extend(k: int, placed: int, used: int):
-        if k == g.n:
+        if k == n:
             yield image
             return
         v = order[k]
         # w fits iff its neighbors among the used images are exactly the
         # images of v's placed neighbors
         want = 0
-        for u in iter_bits(g.adj[v] & placed):
-            want |= 1 << image[u]
-        for w in by_color[cg[v]]:
-            if not used >> w & 1 and h.adj[w] & used == want:
+        nb = gadj[v] & placed
+        while nb:
+            low = nb & -nb
+            want |= 1 << image[low.bit_length() - 1]
+            nb ^= low
+        for w in by_color[gcolors[v]]:
+            if not used >> w & 1 and hadj[w] & used == want:
                 image[v] = w
                 yield from extend(k + 1, placed | 1 << v, used | 1 << w)
 

@@ -16,27 +16,29 @@ max_ratio (six decimals) and max_ratio_instance.
 
 Connected-graph pools beyond the built-in enumeration (n > 7) must come
 from an ingested graph6 corpus file; the harness refuses to sample rather
-than silently shrinking a sweep.
+than silently shrinking a sweep, and refuses a corpus that holds two
+isomorphic graphs (found by the enumeration's own bucket scan).
 
 The seven connected-graph suites (mdvstc_sandwich, prop8, prop10,
 thm14_minor, outerplanar_bound, treedec_bound, chordal_obs) run through one
 driver, ``_connected``, which builds the pool (n <= 7 unless nmax says
 otherwise) and the config, and they take every measurement of a graph once
 per process and share it through the instance table: one record per graph,
-keyed by the graph's graph6 code, kept for the life of the process. A
-corpus line read again by a later run_suite call finds the record an
-earlier call made. Each measurement is declared once, as one entry of
-``_MEASURES``, and a record has one slot per entry; a suite reads it as an
-attribute of the graph's ``_Instance``. A record holds scalars only. Each
-is taken on first use and stored only once the solver has returned, that
-is after its own certificate check, so a failing check raises and leaves
-nothing behind. The ball hypergraph and the decomposition are never
-stored: a suite builds each at most once per graph and drops it with the
-graph, and the distance matrix behind the ball hypergraph fills in the
-diameter. Width and length are read off the decomposition as built, not
-reduced: the bound is stated for a reduced decomposition, but absorbing a
-bag into a neighbour that contains it keeps both numbers. The tree and
-generator suites measure their instances directly and make no records.
+keyed by the graph's graph6 code, kept for the life of the process. A pool
+is built once per process too, so a later run_suite call over the same
+corpus text gets the same graphs with the same records. Each measurement is
+declared once, as one entry of ``_MEASURES``, and a record has one slot per
+entry; a suite reads it as an attribute of the graph's ``_Instance``. A
+record holds scalars only. Each is taken on first use and stored only once
+the solver has returned, that is after its own certificate check, so a
+failing check raises and leaves nothing behind. The ball hypergraph and the
+decomposition are never stored: a suite builds each at most once per graph
+and drops it with the graph, and the distance matrix behind the ball
+hypergraph fills in the diameter. Width and length are read off the
+decomposition as built, not reduced: the bound is stated for a reduced
+decomposition, but absorbing a bag into a neighbour that contains it keeps
+both numbers. The tree and generator suites measure their instances
+directly and make no records.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .bounds import bound_outerplanar, bound_tc_vc, bound_tree, bound_treedec
 from .config import enforce_cap
 from .enumeration import (
     _connected_graph6,
+    _first_of_class,
     enumerate_connected_graphs,
     enumerate_trees,
     free_tree_key,
@@ -165,9 +168,12 @@ class _Checks:
             failure = Failure(name, claim, str(measured), str(bound), witness)
             self.failures.append(failure)
 
-    def ratio(self, instance: str, n: int, bound: int) -> None:
+    def ratio(self, instance, n: int, bound: int) -> None:
+        """Keep n / bound if it beats the maximum. A Graph instance is named
+        by its graph6 code, encoded only when it becomes the maximum."""
         if n / bound > self._ratio:
-            self._ratio, self._ratio_instance = n / bound, instance
+            name = to_graph6(instance) if isinstance(instance, Graph) else instance
+            self._ratio, self._ratio_instance = n / bound, name
 
     def max_ratio(self) -> dict:
         return {"max_ratio": f"{self._ratio:.6f}", "max_ratio_instance": self._ratio_instance}
@@ -217,8 +223,10 @@ def _record(gid: str) -> _Record:
 
 
 def _clear_instances() -> None:
-    """Forget every measurement; the next suite takes each one afresh."""
+    """Forget every measurement and every loaded pool, whose pairs hold
+    records; the next suite takes each one afresh."""
     _TABLE.clear()
+    _POOLS.clear()
 
 
 class _Instance:
@@ -271,46 +279,70 @@ def _instances(pool: list[tuple[_Record, Graph]]):
 # instance pools
 
 
+# (nmax, corpus) -> (corpus text, pool) of every pool built so far
+_POOLS: dict[tuple[int, str | None], tuple[str | None, list[tuple[_Record, Graph]]]] = {}
+
+
 def _connected_pool(nmax: int, corpus: str | None) -> list[tuple[_Record, Graph]]:
     """Built-in enumeration to n=7, corpus levels beyond; never sampled.
-    Each graph comes with its record in the instance table."""
+    Each graph comes with its record in the instance table. A pool is built
+    once per process: the corpus is read again on every call, and parsed
+    and checked again only when its text has changed."""
     if nmax < 1:
         raise DomainError("nmax must be at least 1")
+    text = None
+    if nmax > 7:
+        if corpus is None:
+            raise DomainError(
+                f"connected pools past n=7 need a graph6 corpus file (requested nmax={nmax})"
+            )
+        try:
+            with open(corpus) as fp:
+                text = fp.read()
+        except OSError as exc:
+            raise FormatError(f"cannot read corpus {corpus}: {exc}") from exc
+    key = (nmax, corpus if text is not None else None)
+    cached = _POOLS.get(key)
+    if cached is not None and cached[0] == text:
+        return cached[1]
     graphs = list(enumerate_connected_graphs(min(nmax, 7)))
     pool = list(zip(map(_record, _connected_graph6(min(nmax, 7))), graphs))
-    if nmax <= 7:
-        return pool
-    if corpus is None:
-        raise DomainError(
-            f"connected pools past n=7 need a graph6 corpus file (requested nmax={nmax})"
-        )
-    try:
-        with open(corpus) as fp:
-            lines = [line.strip() for line in fp]
-    except OSError as exc:
-        raise FormatError(f"cannot read corpus {corpus}: {exc}") from exc
-    by_order: dict[int, list[tuple[_Record, Graph]]] = {}
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines, start=1):
+    if text is not None:
+        pool.extend(_corpus_levels(corpus, text, nmax))
+    _POOLS[key] = (text, pool)
+    return pool
+
+
+def _corpus_levels(corpus: str, text: str, nmax: int) -> list[tuple[_Record, Graph]]:
+    """The corpus graphs of orders 8..nmax, in file order, with their
+    records. Every line must parse to a connected graph, and no two lines
+    of one order may be isomorphic."""
+    by_order: dict[int, list[tuple[int, str, Graph]]] = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
         if not line:
             continue
         try:
             g = parse_graph6(line)
         except MetriclabError as exc:
             raise type(exc)(f"{corpus}:{lineno}: {exc}") from exc
-        if line in seen:
-            raise FormatError(f"{corpus}:{lineno}: duplicate graph {line}")
-        seen.add(line)
         if not is_connected(g):
             raise FormatError(f"{corpus}:{lineno}: graph is not connected")
-        # a line in the table is its graph's own code; any other is encoded
-        rec = _TABLE.get(line) or _record(to_graph6(g))
-        by_order.setdefault(g.n, []).append((rec, g))
+        by_order.setdefault(g.n, []).append((lineno, line, g))
+    for n in sorted(by_order):
+        level = by_order[n]
+        for (lineno, _, _), (_, first) in zip(level, _first_of_class(g for _, _, g in level)):
+            if first is not None:
+                raise FormatError(
+                    f"{corpus}:{lineno}: duplicate graph, isomorphic to line {level[first][0]}"
+                )
+    out = []
     for n in range(8, nmax + 1):
         if n not in by_order:
             raise DomainError(f"corpus {corpus} has no graphs of order {n}")
-        pool.extend(by_order[n])
-    return pool
+        # a line in the table is its graph's own code; any other is encoded
+        out.extend((_TABLE.get(line) or _record(to_graph6(g)), g) for _, line, g in by_order[n])
+    return out
 
 
 def _connected(suite):
@@ -340,9 +372,8 @@ def _suite_tree_bound(checks, nmax, seed, corpus):
         d = diameter(t)
         k = tree_metric_dimension(t).dimension
         b = bound_tree(d, k)
-        gid = to_graph6(t)
-        checks.claim(t.n <= b, gid, "n <= tree bound", t.n, b, f"d={d} k={k}")
-        checks.ratio(gid, t.n, b)
+        checks.claim(t.n <= b, t, "n <= tree bound", t.n, b, f"d={d} k={k}")
+        checks.ratio(t, t.n, b)
     return len(pool), {"nmax": nmax}, checks.max_ratio()
 
 

@@ -1,7 +1,6 @@
 """Exhaustive generators vs published counts and brute-force oracles."""
 
 import itertools
-import os
 import random
 from pathlib import Path
 
@@ -17,12 +16,14 @@ from metriclab.errors import DomainError, TooLargeError
 from metriclab.graphs import (
     Graph,
     _color_preserving_maps,
+    _prepared,
     _refined_colors,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     is_connected,
     is_tree,
+    iso_invariant,
     parse_graph6,
     path_graph,
     star_graph,
@@ -90,8 +91,8 @@ def test_orbit_pruning_scans_the_pinned_candidate_counts():
 
 def test_automorphism_group_orders_match_permutation_oracle():
     for g in enumerate_connected_graphs(6):
-        colors = _refined_colors(g)
-        maps = [list(p) for p in _color_preserving_maps(g, colors, g, colors)]
+        rec = _prepared(g, _refined_colors(g)[0])
+        maps = [list(p) for p in _color_preserving_maps(rec, rec)]
         assert len(maps) == perm_automorphism_count(g)
         assert len({tuple(p) for p in maps}) == len(maps)
         for p in maps:
@@ -216,6 +217,13 @@ def test_enumeration_is_deterministic_across_cache_resets():
         enumeration._conn_cache.update(saved_c)
 
 
+def test_bucket_key_splits_the_pinned_number_of_classes():
+    # the class sizes and the quotient of the stable coloring: 976 keys for
+    # the 996 graphs (the old key of n, m, degrees, class sizes and
+    # triangles gave 890)
+    assert len({iso_invariant(g) for g in enumerate_connected_graphs(7)}) == 976
+
+
 def test_connected_graph6_codes_follow_the_stream():
     graphs = list(enumerate_connected_graphs(7))
     assert enumeration._connected_graph6(7) == [to_graph6(g) for g in graphs]
@@ -232,10 +240,6 @@ def test_shipped_corpus_shape():
         assert to_graph6(g) == line
 
 
-@pytest.mark.skipif(
-    not os.environ.get("METRICLAB_REGEN_CORPUS"),
-    reason="set METRICLAB_REGEN_CORPUS=1 to rebuild and compare the corpus",
-)
 def test_corpus_regeneration_is_reproducible():
     level = [g for g in enumerate_connected_graphs(8, maxn=8) if g.n == 8]
     assert [to_graph6(g) for g in level] == CORPUS.read_text().splitlines()

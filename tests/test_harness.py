@@ -249,6 +249,44 @@ def test_corpus_parse_errors_name_their_line(tmp_path):
     assert str(err.value).startswith(f"{huge}:2: graph6 '~~' form")
 
 
+def test_corpus_refuses_isomorphic_duplicates(tmp_path):
+    # two codes of one graph: the second line is refused, named with the first
+    dup = tmp_path / "iso.g6"
+    dup.write_text("GqGOOG\nGQGOOK\n")
+    with pytest.raises(FormatError) as err:
+        run_suite("thm14_minor", nmax=8, corpus=str(dup))
+    assert str(err.value) == f"{dup}:2: duplicate graph, isomorphic to line 1"
+    # the shipped corpus has none
+    pool = harness._connected_pool(8, CORPUS)
+    assert sum(1 for _, g in pool if g.n == 8) == 11117
+
+
+def test_corpus_pool_is_loaded_once_per_text(tmp_path, monkeypatch):
+    shard = write_shard(tmp_path / "shard.g6")
+    parsed = Counter()
+    parse = harness.parse_graph6
+
+    def counted(text):
+        parsed[text] += 1
+        return parse(text)
+
+    monkeypatch.setattr(harness, "parse_graph6", counted)
+    harness._clear_instances()
+    pool = harness._connected_pool(8, shard)
+    assert harness._connected_pool(8, shard) is pool
+    assert len(parsed) == 464 and set(parsed.values()) == {1}
+    # a changed file is read afresh
+    lines = Path(shard).read_text().splitlines()
+    Path(shard).write_text("\n".join(lines[:10]) + "\n")
+    smaller = harness._connected_pool(8, shard)
+    assert len(smaller) == 996 + 10 and parsed[lines[0]] == 2
+    # the records of a cleared table go with the pools that hold them
+    harness._clear_instances()
+    again = harness._connected_pool(8, shard)
+    assert again is not smaller and parsed[lines[0]] == 3
+    assert all(harness._TABLE[rec.gid] is rec for rec, _ in again)
+
+
 def zeroed(report: SuiteReport) -> str:
     report.elapsed = 0.0
     return report.json_text()
