@@ -230,10 +230,16 @@ def _cmd_bound(args) -> tuple[str, int]:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    from .harness import run_suite
+    from .harness import corpus_shortfalls, run_suite
 
     if args.csv and args.json == "-":
         raise DomainError("--csv conflicts with --json - (both claim stdout)")
+    short = corpus_shortfalls(args.suite, args.nmax, args.corpus)
+    if short:
+        what = f"corpus {args.corpus} is partial (A001349): " + "; ".join(short)
+        if not args.partial:
+            raise DomainError(what + "; pass --partial to run on it anyway")
+        print(f"warning: {what}", file=sys.stderr)
     report = run_suite(args.suite, nmax=args.nmax, seed=args.seed, corpus=args.corpus)
     code = 0 if report.passed else 1
     if args.json == "-":
@@ -339,6 +345,8 @@ def _verify_args(verify) -> None:
     verify.add_argument("suite", choices=suite_names())
     verify.add_argument("--nmax", type=int, help="pool limit (meaning is per suite)")
     verify.add_argument("--corpus", help="graph6 corpus file for pools past n=7")
+    verify.add_argument("--partial", action="store_true",
+                        help="run on a corpus that lacks part of an order (warns on stderr)")
     verify.add_argument("--seed", type=int, help="PRNG seed for the randomized suite")
     verify.add_argument("--json", metavar="OUT", help="write the JSON report (- replaces the table)")
     verify.add_argument("--csv", action="store_true", help="emit failures as CSV instead of the table")

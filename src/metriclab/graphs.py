@@ -17,12 +17,24 @@ from .errors import DomainError, FormatError, TooLargeError
 MAX_VERTICES = 258047
 
 
+# the set bits of every byte: every mask of a graph on at most 8 vertices
+_BYTE_BITS = tuple(tuple(v for v in range(8) if m >> v & 1) for m in range(256))
+
+
 def iter_bits(mask: int):
-    """Indices of set bits, ascending."""
+    """Indices of set bits, ascending, as a sequence (not an iterator; wrap
+    it in iter() to consume it piecewise): a shared tuple for a mask below
+    256, a new list otherwise."""
+    if 0 <= mask < 256:
+        return _BYTE_BITS[mask]
+    if mask < 0:
+        raise ValueError(f"iter_bits needs a nonnegative mask, got {mask}")
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 class Graph:
@@ -156,22 +168,26 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Distances from source; -1 where unreachable."""
+    adj = g.adj
     dist = [-1] * g.n
     dist[source] = 0
-    frontier = 1 << source
-    seen = frontier
+    frontier = seen = 1 << source
     d = 0
     while frontier:
         d += 1
         nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= ~seen
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt = nxt & ~seen
         seen |= nxt
-        for v in iter_bits(nxt):
-            dist[v] = d
-        frontier = nxt
+        while nxt:
+            low = nxt & -nxt
+            dist[low.bit_length() - 1] = d
+            nxt ^= low
     return dist
+
 
 def all_distances(g: Graph) -> list[list[int]]:
     return [bfs_distances(g, v) for v in range(g.n)]
@@ -200,6 +216,15 @@ def diameter(g: Graph) -> int:
     # sweeps suffice (the double sweep)
     dist = bfs_distances(g, 0)
     return max(bfs_distances(g, dist.index(max(dist))))
+
+
+def _diameter(dist: list[list[int]]) -> int:
+    """diameter from the graph's distance matrix, with the same refusals."""
+    if not dist:
+        raise DomainError("diameter of the empty graph is undefined")
+    if -1 in dist[0]:
+        raise DomainError("eccentricities need a connected graph")
+    return max(map(max, dist))
 
 
 def is_tree(g: Graph) -> bool:
@@ -271,7 +296,7 @@ def biconnected_components(g: Graph) -> list[list[int]]:
             blocks.append([root])
             continue
         # explicit DFS stack: (vertex, parent, neighbor iterator)
-        stack = [(root, -1, iter_bits(g.adj[root]))]
+        stack = [(root, -1, iter(iter_bits(g.adj[root])))]
         disc[root] = low[root] = timer
         timer += 1
         while stack:
@@ -282,7 +307,7 @@ def biconnected_components(g: Graph) -> list[list[int]]:
                     edge_stack.append((v, u))
                     disc[u] = low[u] = timer
                     timer += 1
-                    stack.append((u, v, iter_bits(g.adj[u])))
+                    stack.append((u, v, iter(iter_bits(g.adj[u]))))
                     advanced = True
                     break
                 if u != parent and disc[u] < disc[v]:

@@ -17,7 +17,9 @@ max_ratio (six decimals) and max_ratio_instance.
 Connected-graph pools beyond the built-in enumeration (n > 7) must come
 from an ingested graph6 corpus file; the harness refuses to sample rather
 than silently shrinking a sweep, and refuses a corpus that holds two
-isomorphic graphs (found by the enumeration's own bucket scan).
+isomorphic graphs (found by the enumeration's own bucket scan). It accepts
+a corpus that holds only part of an order; ``corpus_shortfalls`` counts
+each order against A001349 for a caller that refuses one (the CLI does).
 
 The seven connected-graph suites (mdvstc_sandwich, prop8, prop10,
 thm14_minor, outerplanar_bound, treedec_bound, chordal_obs) run through one
@@ -28,13 +30,20 @@ keyed by the graph's graph6 code, kept for the life of the process. A pool
 is built once per process too, so a later run_suite call over the same
 corpus text gets the same graphs with the same records. Each measurement is
 declared once, as one entry of ``_MEASURES``, and a record has one slot per
-entry; a suite reads it as an attribute of the graph's ``_Instance``. A
-record holds scalars only. Each is taken on first use and stored only once
-the solver has returned, that is after its own certificate check, so a
-failing check raises and leaves nothing behind. The ball hypergraph and the
-decomposition are never stored: a suite builds each at most once per graph
-and drops it with the graph, and the distance matrix behind the ball
-hypergraph fills in the diameter. Width and length are read off the
+entry; a suite reads it as an attribute of the graph's ``_Instance``. Each
+measurement is taken on first use and stored only once the solver has
+returned, that is after its own certificate check, so a failing check
+raises and leaves nothing behind. A suite builds a graph's distance matrix
+and decomposition at most once and drops both when it moves to the next
+graph; the diameter, md, length and the ball hypergraph all read that one
+matrix. The ball hypergraph is the one structure kept across suites: it
+stays on the record from the suite that builds it until tc, dvc, vc* and
+d2vc are all taken, and goes then, so a record of a graph that every suite
+has seen holds scalars only. A graph whose matrix is built a second time
+while a ball measurement is missing gets its ball hypergraph from that
+matrix at once, so in either suite order no graph needs a third matrix.
+vc* and d2vc each take the dual of the kept hypergraph afresh; neither the
+matrix nor the dual is kept. Width and length are read off the
 decomposition as built, not reduced: the bound is stated for a reduced
 decomposition, but absorbing a bag into a neighbour that contains it keeps
 both numbers. The tree and generator suites measure their instances
@@ -50,6 +59,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from typing import NamedTuple
 
 from .bounds import bound_outerplanar, bound_tc_vc, bound_tree, bound_treedec
@@ -63,20 +73,35 @@ from .enumeration import (
 )
 from .errors import DomainError, FormatError, MetriclabError
 from .extremal import gen_grid_chain, gen_hs, gen_l, gen_line_example, gen_o, hs_order
-from .graphs import Graph, diameter, is_chordal, is_connected, is_tree, parse_graph6, to_graph6
+from .graphs import (
+    Graph,
+    _diameter,
+    all_distances,
+    diameter,
+    is_chordal,
+    is_connected,
+    is_tree,
+    parse_graph6,
+    to_graph6,
+)
 from .hypergraphs import (
     Hypergraph,
     _distance_hypergraph,
+    _dual_2vc,
     distance_hypergraph_fixed_radius,
     dual,
-    dual_distance_2vc,
     min_test_cover,
     trace,
     vc_dimension,
 )
 from .minors import has_clique_minor, is_outerplanar
-from .resolving import is_resolving, metric_dimension_exact, tree_metric_dimension
-from .treedec import clique_tree, length, treewidth_exact, width
+from .resolving import (
+    _metric_dimension,
+    is_resolving,
+    metric_dimension_exact,
+    tree_metric_dimension,
+)
+from .treedec import _length, clique_tree, treewidth_exact, width
 
 # One cap for every solver call made from a suite. Generated instances top
 # out at 116 vertices (line example, k=5), enumerated pools far lower.
@@ -186,28 +211,36 @@ class _Checks:
 # measurement name -> how to take it from an _Instance; a record has one
 # slot per entry
 _MEASURES = {
-    "diam": lambda inst: diameter(inst.g),
-    "md": lambda inst: metric_dimension_exact(inst.g, maxn=SOLVER_CAP).dimension,
+    "diam": lambda inst: _diameter(inst.dist()),
+    "md": lambda inst: _metric_dimension(inst.g, inst.dist(), maxn=SOLVER_CAP).dimension,
     "tc": lambda inst: len(min_test_cover(inst.balls(), maxn=SOLVER_CAP)),
     "vc_star": lambda inst: vc_dimension(dual(inst.balls()), maxn=SOLVER_CAP)[0],
     "dvc": lambda inst: vc_dimension(inst.balls(), maxn=SOLVER_CAP)[0],
-    "d2vc": lambda inst: dual_distance_2vc(inst.g, maxn=SOLVER_CAP),
+    "d2vc": lambda inst: _dual_2vc(dual(inst.balls()), maxn=SOLVER_CAP),
     "chordal": lambda inst: is_chordal(inst.g),
     "outerplanar": lambda inst: is_outerplanar(inst.g),
     "width": lambda inst: width(inst.decomposition()),
-    "length": lambda inst: length(inst.decomposition()),
+    "length": lambda inst: _length(inst.decomposition(), inst.dist()),
 }
+
+# the measurements read off the ball hypergraph
+_BALL_MEASURES = ("tc", "vc_star", "dvc", "d2vc")
 
 
 class _Record:
-    """The measurements of one connected graph, each None until taken."""
+    """The measurements of one connected graph, each None until taken, and
+    the graph's ball hypergraph while a measurement still needs it."""
 
-    __slots__ = ("gid", *_MEASURES)
+    __slots__ = ("gid", "balls", *_MEASURES)
 
     def __init__(self, gid: str) -> None:
         self.gid = gid
+        self.balls = None
         for name in _MEASURES:
             setattr(self, name, None)
+
+    def missing(self, names) -> bool:
+        return any(getattr(self, name) is None for name in names)
 
 
 # graph6 code -> record, for the life of the process
@@ -230,38 +263,56 @@ def _clear_instances() -> None:
 
 
 class _Instance:
-    """One pool graph as one suite reads it: the graph, its record, and the
-    ball hypergraph and decomposition, built at most once and only when a
+    """One pool graph as one suite reads it: the graph, its record, and its
+    distance matrix and decomposition, built at most once and only when a
     missing measurement needs them. Take a fresh one per graph (see
     ``_instances``) so that those two go when the suite moves on. Every
     name in ``_MEASURES`` reads as an attribute, taken and stored in the
     record on first use."""
 
-    __slots__ = ("g", "rec", "_balls", "_td")
+    __slots__ = ("g", "rec", "_dist", "_td")
 
     def __init__(self, rec: _Record, g: Graph) -> None:
-        self.g, self.rec, self._balls, self._td = g, rec, None, None
+        self.g, self.rec, self._dist, self._td = g, rec, None, None
 
     def __getattr__(self, name: str):
         take = _MEASURES.get(name)
         if take is None:
             raise AttributeError(name)
-        value = getattr(self.rec, name)
+        rec = self.rec
+        value = getattr(rec, name)
         if value is None:
             value = take(self)
-            setattr(self.rec, name, value)
+            setattr(rec, name, value)
+            if rec.balls is not None and not rec.missing(_BALL_MEASURES):
+                rec.balls = None  # its last reader is done
         return value
 
     @property
     def gid(self) -> str:
         return self.rec.gid
 
+    def dist(self) -> list[list[int]]:
+        """The distance matrix. A graph that had one before (md or diam is
+        taken) and still lacks a ball measurement is being swept by several
+        suites: its ball hypergraph is built now as well and kept, so that
+        no later suite builds a third matrix for it."""
+        if self._dist is None:
+            rec = self.rec
+            self._dist = all_distances(self.g)
+            if (rec.balls is None and (rec.md is not None or rec.diam is not None)
+                    and rec.missing(_BALL_MEASURES)):
+                rec.balls = _distance_hypergraph(self._dist)
+        return self._dist
+
     def balls(self) -> Hypergraph:
-        if self._balls is None:
-            self._balls, d = _distance_hypergraph(self.g)
-            if self.rec.diam is None:
-                self.rec.diam = d
-        return self._balls
+        """The ball hypergraph, kept on the record until its last reader."""
+        rec = self.rec
+        if rec.balls is None:
+            dist = self.dist()  # which may have kept it already
+            if rec.balls is None:
+                rec.balls = _distance_hypergraph(dist)
+        return rec.balls
 
     def decomposition(self):
         """Clique tree when chordal, else an exact-treewidth decomposition."""
@@ -296,11 +347,7 @@ def _connected_pool(nmax: int, corpus: str | None) -> list[tuple[_Record, Graph]
             raise DomainError(
                 f"connected pools past n=7 need a graph6 corpus file (requested nmax={nmax})"
             )
-        try:
-            with open(corpus) as fp:
-                text = fp.read()
-        except OSError as exc:
-            raise FormatError(f"cannot read corpus {corpus}: {exc}") from exc
+        text = _read_corpus(corpus)
     key = (nmax, corpus if text is not None else None)
     cached = _POOLS.get(key)
     if cached is not None and cached[0] == text:
@@ -311,6 +358,39 @@ def _connected_pool(nmax: int, corpus: str | None) -> list[tuple[_Record, Graph]
         pool.extend(_corpus_levels(corpus, text, nmax))
     _POOLS[key] = (text, pool)
     return pool
+
+
+def _read_corpus(corpus: str) -> str:
+    try:
+        with open(corpus) as fp:
+            return fp.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read corpus {corpus}: {exc}") from exc
+
+
+# A001349: the connected graphs of order n = 0..12, up to isomorphism
+_A001349 = (1, 1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571, 1006700565, 164059830476)
+
+
+def corpus_shortfalls(name: str, nmax: int | None, corpus: str | None) -> list[str]:
+    """One line for each order that run_suite(name, nmax=nmax, corpus=corpus)
+    reads from the corpus with another number of lines than A001349 counts
+    graphs; each line's order is read off its graph6 header byte. Empty when
+    the suite reads no corpus. run_suite itself accepts a partial corpus."""
+    if corpus is None or nmax is None or nmax <= 7 or _SUITES.get(name) not in _CONNECTED:
+        return []
+    orders = Counter()
+    for line in _read_corpus(corpus).split("\n"):
+        head = line.strip().removeprefix(">>graph6<<")[:1]
+        if head:
+            orders[ord(head) - 63] += 1  # every order past 62 counts as 63
+    out = []
+    for n in range(8, nmax + 1):
+        want = _A001349[n] if n < len(_A001349) else None
+        if orders[n] != want:
+            total = want or f"more than {_A001349[-1]}"
+            out.append(f"order {n} has {orders[n]} of {total} graphs")
+    return out
 
 
 def _corpus_levels(corpus: str, text: str, nmax: int) -> list[tuple[_Record, Graph]]:
@@ -345,19 +425,24 @@ def _corpus_levels(corpus: str, text: str, nmax: int) -> list[tuple[_Record, Gra
     return out
 
 
+# the drivers of the connected-graph suites, the suites that read a corpus
+_CONNECTED: set = set()
+
+
 def _connected(suite):
     """Run suite(checks, pool) -> (instances, fields, extras) over the
     connected pool to nmax (7 by default); its config is nmax, the suite's
-    own fields, and the corpus when one was given."""
+    own fields, and the corpus when the pool read one."""
 
     def run(checks, nmax, seed, corpus):
         nmax = 7 if nmax is None else nmax
         instances, fields, extras = suite(checks, _connected_pool(nmax, corpus))
         config = {"nmax": nmax, **fields}
-        if corpus is not None:
+        if nmax > 7 and corpus is not None:  # only then is it read
             config["corpus"] = corpus
         return instances, config, extras
 
+    _CONNECTED.add(run)
     return run
 
 

@@ -136,24 +136,22 @@ def trace(h: Hypergraph, x) -> Hypergraph:
     return Hypergraph(len(xs), list(dict.fromkeys(edges)))
 
 
+def _columns(edges: list[int], nverts: int) -> list[int]:
+    """cols[v] is the mask of the edge slots holding v."""
+    cols = [0] * nverts
+    for i, e in enumerate(edges):
+        for v in iter_bits(e):
+            cols[v] |= 1 << i
+    return cols
+
+
 def dual(h: Hypergraph) -> Hypergraph:
     """Incidence transpose: vertex i <-> edge slot i. dual(dual(h)) == h."""
-    edges = []
-    for v in range(h.nverts):
-        m = 0
-        for i, e in enumerate(h.edges):
-            if e >> v & 1:
-                m |= 1 << i
-        edges.append(m)
-    return Hypergraph(len(h.edges), edges)
+    return Hypergraph(len(h.edges), _columns(h.edges, h.nverts))
 
 
 def is_twin_free(h: Hypergraph) -> bool:
-    cols = [
-        sum(1 << i for i, e in enumerate(h.edges) if e >> v & 1)
-        for v in range(h.nverts)
-    ]
-    return len(set(cols)) == h.nverts
+    return len(set(_columns(h.edges, h.nverts))) == h.nverts
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +260,7 @@ def _largest_shattered(h: Hypergraph, pairs_only: bool) -> tuple[int, ShatterWit
     edge slot in h (pairs only for 2-shattering).
     """
     edges = list(dict.fromkeys(h.edges))
-    cols = [0] * h.nverts
-    for i, e in enumerate(edges):
-        for v in iter_bits(e):
-            cols[v] |= 1 << i
+    cols = _columns(edges, h.nverts)
     every = (1 << len(edges)) - 1
     root = (every, [], []) if pairs_only else [every]
     best, best_mask = 0, 0  # the empty set; vc2 always finds a singleton
@@ -352,13 +347,12 @@ def distance_hypergraph(g: Graph) -> Hypergraph:
     the slot of its first (center, radius) representative, and
     test_cover_to_resolving maps a slot back to that center.
     """
-    return _distance_hypergraph(g)[0]
+    return _distance_hypergraph(all_distances(g))
 
 
-def _distance_hypergraph(g: Graph) -> tuple[Hypergraph, int]:
-    """distance_hypergraph(g) and the diameter of g, from one distance matrix."""
-    balls = _balls(all_distances(g))
-    return Hypergraph(g.n, list(_first_centers(balls))), len(balls) - 1
+def _distance_hypergraph(dist: list[list[int]]) -> Hypergraph:
+    """distance_hypergraph from the graph's distance matrix."""
+    return Hypergraph(len(dist), list(_first_centers(_balls(dist))))
 
 
 def distance_hypergraph_fixed_radius(g: Graph, radius: int) -> Hypergraph:
@@ -371,8 +365,16 @@ def distance_hypergraph_fixed_radius(g: Graph, radius: int) -> Hypergraph:
 
 
 def dual_distance_2vc(g: Graph, maxn: int | None = None) -> int:
+    """2-VC dimension of the dual of the ball hypergraph. Refuses before the
+    hypergraph is built."""
     enforce_cap(g.n, maxn, "vc_n", "dual_distance_2vc: n={n} exceeds cap {cap}")
-    d = dual(distance_hypergraph(g))
+    return _dual_2vc(dual(distance_hypergraph(g)), maxn)
+
+
+def _dual_2vc(d: Hypergraph, maxn: int | None = None) -> int:
+    """dual_distance_2vc from the dual d of the ball hypergraph, whose edges
+    are the graph's vertices, with the same cap."""
+    enforce_cap(len(d.edges), maxn, "vc_n", "dual_distance_2vc: n={n} exceeds cap {cap}")
     return vc2_dimension(d, maxn=d.nverts)[0]
 
 

@@ -95,13 +95,25 @@ def _twin_classes(g: Graph) -> list[list[int]]:
     return [sorted(c) for c in classes.values()]
 
 
-def metric_dimension_exact(g: Graph, maxn: int | None = None) -> ResolvingCertificate:
-    """Minimum resolving set by reduction to set cover; deterministic output."""
-    if not is_connected(g) or g.n == 0:
+def _md_refusals(n: int, connected: bool, maxn: int | None) -> None:
+    if not connected or n == 0:
         raise DomainError("metric dimension needs a connected nonempty graph")
-    enforce_cap(g.n, maxn, "md_n", "metric_dimension_exact: n={n} exceeds cap {cap}")
+    enforce_cap(n, maxn, "md_n", "metric_dimension_exact: n={n} exceeds cap {cap}")
+
+
+def metric_dimension_exact(g: Graph, maxn: int | None = None) -> ResolvingCertificate:
+    """Minimum resolving set by reduction to set cover; deterministic output.
+    Refuses before the distance matrix is built."""
+    _md_refusals(g.n, is_connected(g), maxn)
+    return _metric_dimension(g, all_distances(g), maxn)
+
+
+def _metric_dimension(g: Graph, dist: list[list[int]],
+                      maxn: int | None = None) -> ResolvingCertificate:
+    """metric_dimension_exact from g's distance matrix, with the same refusals
+    and the same certificate check."""
     n = g.n
-    dist = all_distances(g)
+    _md_refusals(n, bool(dist) and -1 not in dist[0], maxn)
 
     preselected: list[int] = []
     for cls in _twin_classes(g):

@@ -111,8 +111,12 @@ def width(td: TreeDecomposition) -> int:
 
 
 def length(td: TreeDecomposition) -> int:
+    return _length(td, all_distances(td.host))
+
+
+def _length(td: TreeDecomposition, dist: list[list[int]]) -> int:
+    """length from the host's distance matrix, with the same refusals."""
     _require_valid(td)
-    dist = all_distances(td.host)
     if dist and -1 in dist[0]:
         raise DomainError("length needs a connected host graph")
     best = 0

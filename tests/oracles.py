@@ -51,6 +51,35 @@ def fw_distances(g):
     return [[-1 if x is INF else x for x in row] for row in d]
 
 
+def shift_bits(mask):
+    """Indices of the set bits of a nonnegative mask, one shift at a time."""
+    out, i = [], 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return out
+
+
+def list_bfs_distances(g):
+    """Every vertex's distances by a queue over adjacency lists; -1 where
+    unreachable."""
+    nbrs = [[u for u in range(g.n) if g.adj[v] >> u & 1] for v in range(g.n)]
+    rows = []
+    for source in range(g.n):
+        dist = [-1] * g.n
+        dist[source] = 0
+        queue = [source]
+        for v in queue:
+            for u in nbrs[v]:
+                if dist[u] == -1:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        rows.append(dist)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # graph6: independent bit-level encoder
 

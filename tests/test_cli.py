@@ -215,6 +215,26 @@ def test_verify_output_formats(cli, tmp_path):
     assert code == 2 and out == "" and "stdout" in err
 
 
+def test_verify_refuses_a_partial_corpus_order(cli, tmp_path):
+    corpus = Path(__file__).parent / "data" / "connected8.g6"
+    five = tmp_path / "five.g6"
+    five.write_text("".join(corpus.read_text().splitlines(keepends=True)[:5]))
+    argv = ["verify", "prop8", "--nmax", "8", "--corpus", str(five)]
+    code, out, err = cli(argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: corpus {five} is partial (A001349): order 8 has 5 of 11117 "
+                   "graphs; pass --partial to run on it anyway\n")
+    code, out, err = cli(argv + ["--partial"])
+    assert code == 0 and "instances  1001" in out
+    assert err == f"warning: corpus {five} is partial (A001349): order 8 has 5 of 11117 graphs\n"
+    # a suite that reads no corpus, or an order range that reads none, is not checked
+    assert cli(["verify", "tree_bound", "--nmax", "8", "--corpus", str(five)])[::2] == (0, "")
+    assert cli(["verify", "prop8", "--nmax", "5", "--corpus", str(five)])[::2] == (0, "")
+    # the shipped corpus holds every order-8 graph
+    code, out, err = cli(["verify", "chordal_obs", "--nmax", "8", "--corpus", str(corpus)])
+    assert (code, err) == (0, "") and "status     pass" in out
+
+
 def test_usage_errors(cli):
     assert cli([])[0] == 2
     assert cli(["frobnicate"])[0] == 2

@@ -25,6 +25,7 @@ from metriclab.graphs import (
     is_tree,
     iso_invariant,
     isomorphic,
+    iter_bits,
     leaves,
     parse_edge_list,
     parse_graph6,
@@ -60,6 +61,35 @@ def test_bfs_matches_floyd_warshall_on_random_graphs():
         n = rng.randrange(1, 13)
         g = oracles.random_graph(rng, n, rng.choice([0.15, 0.3, 0.6]))
         assert all_distances(g) == oracles.fw_distances(g)
+
+
+def test_iter_bits_matches_shift_loop():
+    for mask in range(1 << 16):
+        assert list(iter_bits(mask)) == oracles.shift_bits(mask)
+    assert list(iter_bits(0)) == []
+    rng = random.Random(5081)
+    for _ in range(300):
+        mask = rng.getrandbits(rng.randrange(1, 3001))
+        assert list(iter_bits(mask)) == oracles.shift_bits(mask)
+    # a sequence, not a one-shot iterator, and never the table's row for -1
+    assert list(iter_bits(0b1011)) == list(iter_bits(0b1011)) == [0, 1, 3]
+    with pytest.raises(ValueError):
+        iter_bits(-1)
+
+
+def test_bfs_matches_adjacency_list_bfs_on_random_graphs():
+    rng = random.Random(30517)
+    disconnected = 0
+    for _ in range(80):
+        n = rng.randrange(1, 121)
+        # p around 1/n leaves many graphs in several components
+        g = oracles.random_graph(rng, n, rng.choice([0.5 / n, 1.5 / n, 0.1, 0.4]))
+        want = oracles.list_bfs_distances(g)
+        assert all_distances(g) == want
+        source = rng.randrange(n)
+        assert bfs_distances(g, source) == want[source]
+        disconnected += -1 in want[0]
+    assert disconnected >= 10
 
 
 def test_distance_examples():

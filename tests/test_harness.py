@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import random
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -11,8 +12,13 @@ import pytest
 
 from metriclab import harness
 from metriclab.errors import DomainError, FormatError, TooLargeError
-from metriclab.graphs import Graph, to_graph6
+from metriclab.graphs import Graph, is_chordal, to_graph6
 from metriclab.harness import Failure, SuiteReport, run_suite, suite_names
+from metriclab.hypergraphs import dual_distance_2vc
+from metriclab.resolving import metric_dimension_exact
+from metriclab.treedec import clique_tree, length, treewidth_exact
+
+import oracles
 
 DATA = Path(__file__).parent / "data"
 CORPUS = str(DATA / "connected8.g6")
@@ -114,21 +120,36 @@ def test_instance_table_measures_each_graph_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(harness, name, counted)
 
-    for name in ("metric_dimension_exact", "dual_distance_2vc", "treewidth_exact"):
+    def hyper_key(h):
+        return h.nverts, tuple(h.edges)
+
+    def matrix_key(dist):
+        return tuple(map(tuple, dist))
+
+    for name in ("_metric_dimension", "treewidth_exact", "all_distances"):
         count(name, to_graph6)
-    # a test cover is solved on the ball hypergraph, named by its edges
-    count("min_test_cover", lambda h: (h.nverts, tuple(h.edges)))
+    # a test cover is solved on the ball hypergraph and d2vc on its dual,
+    # each named by its edges; a ball hypergraph is named by its matrix
+    count("min_test_cover", hyper_key)
+    count("_dual_2vc", hyper_key)
+    count("_distance_hypergraph", matrix_key)
+    pool = harness._connected_pool(8, shard)
     for order in (CONNECTED_SUITES, CONNECTED_SUITES[::-1]):
         harness._clear_instances()
         calls.clear()
         for name in order:
             r = run_suite(name, nmax=8, corpus=shard)
             assert canonical(golden_doc(r)) == canonical(frozen[name]), (order[0], name)
-        assert set(calls) == {"metric_dimension_exact", "dual_distance_2vc",
-                              "treewidth_exact", "min_test_cover"}
-        for name, per_graph in calls.items():
-            assert max(per_graph.values()) == 1, (order[0], name)
+        assert set(calls) == {"_metric_dimension", "_dual_2vc", "treewidth_exact",
+                              "min_test_cover", "all_distances", "_distance_hypergraph"}
+        for name in ("_metric_dimension", "_dual_2vc", "treewidth_exact", "min_test_cover"):
+            assert max(calls[name].values()) == 1, (order[0], name)
         assert sum(calls["min_test_cover"].values()) <= len(harness._TABLE)
+        # one ball hypergraph per pool graph and none for the generated
+        # outerplanar family; at most two matrices per pool graph
+        assert set(calls["_distance_hypergraph"].values()) == {1}, order[0]
+        assert len(calls["_distance_hypergraph"]) == len(pool), order[0]
+        assert max(calls["all_distances"][to_graph6(g)] for _, g in pool) <= 2, order[0]
         # the records hold scalars only
         for rec in harness._TABLE.values():
             for slot in rec.__slots__:
@@ -136,11 +157,38 @@ def test_instance_table_measures_each_graph_once(tmp_path, monkeypatch):
 
 
 def test_measure_table_is_the_record_layout():
-    assert harness._Record.__slots__ == ("gid", *harness._MEASURES)
+    assert harness._Record.__slots__ == ("gid", "balls", *harness._MEASURES)
     inst = harness._Instance(harness._Record("@"), Graph(1))
     assert inst.chordal is True and inst.rec.chordal is True
     with pytest.raises(AttributeError):
         inst.not_a_measure
+
+
+def test_shared_structures_match_the_public_solvers():
+    # md, d2vc and length through one instance's matrix and the record's
+    # ball hypergraph, on relabelled graphs past the n <= 7 enumeration
+    rng = random.Random(40919)
+    for _ in range(60):
+        n = rng.randrange(8, 11)
+        g = oracles.random_connected_graph(rng, n, rng.choice((0.1, 0.25, 0.5)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = g.relabeled(perm)
+        inst = harness._Instance(harness._Record(to_graph6(h)), h)
+        assert inst.md == metric_dimension_exact(h).dimension == metric_dimension_exact(g).dimension
+        assert inst.d2vc == dual_distance_2vc(h) == dual_distance_2vc(g)
+        # the length is the decomposition's, which depends on the labels
+        td = clique_tree(h) if is_chordal(h) else treewidth_exact(h)[1]
+        assert inst.length == length(td)
+
+
+def test_report_names_only_a_corpus_it_read(tmp_path):
+    # the corpus is read past n = 7 only
+    missing = str(tmp_path / "missing.g6")
+    r = run_suite("prop8", nmax=3, corpus=missing)
+    assert r.instances == 4 and "corpus" not in r.config
+    with pytest.raises(FormatError):
+        run_suite("prop8", nmax=8, corpus=missing)
 
 
 def test_tree_and_generator_suites_make_no_records():
