@@ -56,9 +56,9 @@ def _read_graph(path: str):
 
 def _cap(args, field: str) -> int | None:
     """Explicit --maxn beats the config file; neither means library defaults."""
-    if getattr(args, "maxn", None) is not None:
+    if args.maxn is not None:
         return args.maxn
-    if getattr(args, "config", None):
+    if args.config:
         from .config import load_config
 
         return getattr(load_config(args.config), field)
@@ -151,6 +151,8 @@ def _cmd_hyper(args) -> tuple[str, int]:
             h = distance_hypergraph(g)
         return format_hypergraph(h), 0
     h = parse_hypergraph(_read_text(args.input))
+    if args.op == "dual":
+        return format_hypergraph(dual(h)), 0
     # the test cover shares the metric-dimension set-cover engine and cap
     cap = _cap(args, "md_n" if args.op == "tc" else "vc_n")
     if args.op == "vc":
@@ -160,8 +162,6 @@ def _cmd_hyper(args) -> tuple[str, int]:
     if args.op == "vc2":
         k, witness = vc2_dimension(h, maxn=cap)
         return _json_line({"schema": 1, "vc2": k, "set": witness.vertices}), 0
-    if args.op == "dual":
-        return format_hypergraph(dual(h)), 0
     if args.op == "tc":
         chosen = min_test_cover(h, maxn=cap)
         return _json_line({"schema": 1, "size": len(chosen), "edges": chosen}), 0
@@ -258,8 +258,12 @@ def _cmd_verify(args) -> tuple[str, int]:
 _CONFIG_HELP = "key=value cap file; --maxn, then METRICLAB_MAXN, win over it"
 
 
-def _add_io(sub, *, maxn_help="override the size cap for this call"):
+def _add_io(sub) -> None:
     sub.add_argument("input", nargs="?", default="-", help="input file, or - for stdin")
+
+
+def _add_cap(sub, maxn_help="override the size cap for this call") -> None:
+    # only for the ops that read a cap (see _cap); any other op refuses them
     sub.add_argument("--maxn", type=int, help=maxn_help)
     sub.add_argument("--config", help=_CONFIG_HELP)
 
@@ -280,8 +284,7 @@ def _gen_args(gen) -> None:
     p.add_argument("--t", type=int, required=True)
     p = fams.add_parser("line-example", help="line graph separating dimension from vc")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--maxn", type=int, help="override the k cap")
-    p.add_argument("--config", help=_CONFIG_HELP)
+    _add_cap(p, "override the k cap")
     for sp in fams.choices.values():
         sp.add_argument("--json", metavar="OUT", help="write the spec JSON to OUT (- replaces the graph6 line)")
 
@@ -290,6 +293,7 @@ def _solve_args(solve) -> None:
     ops = solve.add_subparsers(dest="op", required=True)
     p = ops.add_parser("md", help="exact metric dimension with certificate")
     _add_io(p)
+    _add_cap(p)
     p = ops.add_parser("tree-md", help="closed-form tree metric dimension")
     _add_io(p)
     p = ops.add_parser("resolving-check", help="test whether a given set resolves")
@@ -311,6 +315,8 @@ def _hyper_args(hyper) -> None:
     ):
         p = ops.add_parser(name, help=text)
         _add_io(p)
+        if name != "dual":
+            _add_cap(p)
 
 
 def _td_args(td) -> None:
@@ -328,6 +334,7 @@ def _td_args(td) -> None:
     _add_io(p)
     p = ops.add_parser("tw", help="exact treewidth")
     _add_io(p)
+    _add_cap(p)
     p.add_argument("--decomp", metavar="OUT", help="also write the decomposition (- replaces the JSON)")
 
 

@@ -49,7 +49,9 @@ isomorphism class is kept, so the output is fixed by that order.
   isomorphic duplicates in a graph6 corpus (``harness``).
 
 Both streams are deterministic run to run and cached per order, because the
-check suites replay them many times in one process.
+check suites replay them many times in one process. The caches hold the
+graphs alone; a connected level is sorted by graph6 code once, when it is
+built, and the codes are not kept.
 """
 
 from __future__ import annotations
@@ -225,8 +227,6 @@ def enumerate_trees(n_max: int, maxn: int | None = None) -> Iterator[Graph]:
 
 
 _conn_cache: dict[int, list[Graph]] = {}
-# the graph6 code of each graph in _conn_cache, in the same order
-_conn_codes: dict[int, list[str]] = {}
 
 
 def _extensions(base: Graph) -> Iterator[Graph]:
@@ -276,28 +276,14 @@ def _first_of_class(graphs: Iterable[Graph]) -> Iterator[tuple[Graph, int | None
 
 
 def _connected_exact(n: int) -> list[Graph]:
-    if n in _conn_cache:
-        return _conn_cache[n]
-    if n == 1:
-        level, codes = [Graph(1)], ["@"]
-    else:
-        candidates = (g for base in _connected_exact(n - 1) for g in _extensions(base))
-        order = [g for g, first in _first_of_class(candidates) if first is None]
-        coded = sorted(zip(map(to_graph6, order), order), key=lambda cg: cg[0])
-        codes, level = [c for c, _ in coded], [g for _, g in coded]
-    _conn_cache[n] = level
-    _conn_codes[n] = codes
-    return level
-
-
-def _connected_graph6(n_max: int) -> list[str]:
-    """The graph6 codes of enumerate_connected_graphs(n_max), in its order:
-    the enumeration encodes every graph to sort it, so they cost nothing."""
-    codes = []
-    for n in range(1, n_max + 1):
-        _connected_exact(n)
-        codes.extend(_conn_codes[n])
-    return codes
+    if n not in _conn_cache:
+        if n == 1:
+            level = [Graph(1)]
+        else:
+            candidates = (g for base in _connected_exact(n - 1) for g in _extensions(base))
+            level = [g for g, first in _first_of_class(candidates) if first is None]
+        _conn_cache[n] = sorted(level, key=to_graph6)
+    return _conn_cache[n]
 
 
 def enumerate_connected_graphs(n_max: int, maxn: int | None = None) -> Iterator[Graph]:

@@ -25,11 +25,12 @@ The seven connected-graph suites (mdvstc_sandwich, prop8, prop10,
 thm14_minor, outerplanar_bound, treedec_bound, chordal_obs) run through one
 driver, ``_connected``, which builds the pool (n <= 7 unless nmax says
 otherwise) and the config, and they take every measurement of a graph once
-per process and share it through the instance table: one record per graph,
-keyed by the graph's graph6 code, kept for the life of the process. A pool
-is built once per process too, so a later run_suite call over the same
-corpus text gets the same graphs with the same records. Each measurement is
-declared once, as one entry of ``_MEASURES``, and a record has one slot per
+per process and share it through the pool: each pool entry is a graph with
+its record. A pool is built once per process, so a later run_suite call
+over the same corpus text gets the same graphs with the same records, and
+a corpus pool starts with the entries of the built-in n <= 7 pool. A graph
+is encoded to graph6 only where a report prints its name. Each measurement
+is declared once, as one entry of ``_MEASURES``, and a record has one slot per
 entry; a suite reads it as an attribute of the graph's ``_Instance``. Each
 measurement is taken on first use and stored only once the solver has
 returned, that is after its own certificate check, so a failing check
@@ -65,7 +66,6 @@ from typing import NamedTuple
 from .bounds import bound_outerplanar, bound_tc_vc, bound_tree, bound_treedec
 from .config import enforce_cap
 from .enumeration import (
-    _connected_graph6,
     _first_of_class,
     enumerate_connected_graphs,
     enumerate_trees,
@@ -205,7 +205,7 @@ class _Checks:
 
 
 # ---------------------------------------------------------------------------
-# the instance table of the connected-graph suites
+# the records of the connected-graph suites
 
 
 # measurement name -> how to take it from an _Instance; a record has one
@@ -228,13 +228,13 @@ _BALL_MEASURES = ("tc", "vc_star", "dvc", "d2vc")
 
 
 class _Record:
-    """The measurements of one connected graph, each None until taken, and
-    the graph's ball hypergraph while a measurement still needs it."""
+    """The measurements of one pool graph, each None until taken, and the
+    graph's ball hypergraph while a measurement still needs it. The record
+    lives in the pool entry that holds the graph."""
 
-    __slots__ = ("gid", "balls", *_MEASURES)
+    __slots__ = ("balls", *_MEASURES)
 
-    def __init__(self, gid: str) -> None:
-        self.gid = gid
+    def __init__(self) -> None:
         self.balls = None
         for name in _MEASURES:
             setattr(self, name, None)
@@ -243,29 +243,16 @@ class _Record:
         return any(getattr(self, name) is None for name in names)
 
 
-# graph6 code -> record, for the life of the process
-_TABLE: dict[str, _Record] = {}
-
-
-def _record(gid: str) -> _Record:
-    """The record of the graph whose graph6 code is gid, made on first sight."""
-    rec = _TABLE.get(gid)
-    if rec is None:
-        rec = _TABLE[gid] = _Record(gid)
-    return rec
-
-
 def _clear_instances() -> None:
-    """Forget every measurement and every loaded pool, whose pairs hold
-    records; the next suite takes each one afresh."""
-    _TABLE.clear()
+    """Drop every pool and with it every record: measure everything afresh."""
     _POOLS.clear()
 
 
 class _Instance:
-    """One pool graph as one suite reads it: the graph, its record, and its
-    distance matrix and decomposition, built at most once and only when a
-    missing measurement needs them. Take a fresh one per graph (see
+    """One graph as one suite reads it: the graph, its record (from the pool
+    entry, or fresh for a generated graph), and its distance matrix and
+    decomposition, built at most once and only when a missing measurement
+    needs them. Take a fresh one per graph (see
     ``_instances``) so that those two go when the suite moves on. Every
     name in ``_MEASURES`` reads as an attribute, taken and stored in the
     record on first use."""
@@ -287,10 +274,6 @@ class _Instance:
             if rec.balls is not None and not rec.missing(_BALL_MEASURES):
                 rec.balls = None  # its last reader is done
         return value
-
-    @property
-    def gid(self) -> str:
-        return self.rec.gid
 
     def dist(self) -> list[list[int]]:
         """The distance matrix. A graph that had one before (md or diam is
@@ -336,9 +319,10 @@ _POOLS: dict[tuple[int, str | None], tuple[str | None, list[tuple[_Record, Graph
 
 def _connected_pool(nmax: int, corpus: str | None) -> list[tuple[_Record, Graph]]:
     """Built-in enumeration to n=7, corpus levels beyond; never sampled.
-    Each graph comes with its record in the instance table. A pool is built
-    once per process: the corpus is read again on every call, and parsed
-    and checked again only when its text has changed."""
+    Each graph comes with its own record, and a pool past n=7 starts with
+    the entries of the n <= 7 pool. A pool is built once per process: the
+    corpus is read again on every call, and parsed and checked again only
+    when its text has changed."""
     if nmax < 1:
         raise DomainError("nmax must be at least 1")
     text = None
@@ -352,10 +336,10 @@ def _connected_pool(nmax: int, corpus: str | None) -> list[tuple[_Record, Graph]
     cached = _POOLS.get(key)
     if cached is not None and cached[0] == text:
         return cached[1]
-    graphs = list(enumerate_connected_graphs(min(nmax, 7)))
-    pool = list(zip(map(_record, _connected_graph6(min(nmax, 7))), graphs))
-    if text is not None:
-        pool.extend(_corpus_levels(corpus, text, nmax))
+    if text is None:
+        pool = [(_Record(), g) for g in enumerate_connected_graphs(nmax)]
+    else:
+        pool = _connected_pool(7, None) + [(_Record(), g) for g in _corpus_levels(corpus, text, nmax)]
     _POOLS[key] = (text, pool)
     return pool
 
@@ -393,11 +377,11 @@ def corpus_shortfalls(name: str, nmax: int | None, corpus: str | None) -> list[s
     return out
 
 
-def _corpus_levels(corpus: str, text: str, nmax: int) -> list[tuple[_Record, Graph]]:
-    """The corpus graphs of orders 8..nmax, in file order, with their
-    records. Every line must parse to a connected graph, and no two lines
-    of one order may be isomorphic."""
-    by_order: dict[int, list[tuple[int, str, Graph]]] = {}
+def _corpus_levels(corpus: str, text: str, nmax: int) -> list[Graph]:
+    """The corpus graphs of orders 8..nmax, in file order. Every line must
+    parse to a connected graph, and no two lines of one order may be
+    isomorphic."""
+    by_order: dict[int, list[tuple[int, Graph]]] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
@@ -408,21 +392,18 @@ def _corpus_levels(corpus: str, text: str, nmax: int) -> list[tuple[_Record, Gra
             raise type(exc)(f"{corpus}:{lineno}: {exc}") from exc
         if not is_connected(g):
             raise FormatError(f"{corpus}:{lineno}: graph is not connected")
-        by_order.setdefault(g.n, []).append((lineno, line, g))
+        by_order.setdefault(g.n, []).append((lineno, g))
     for n in sorted(by_order):
         level = by_order[n]
-        for (lineno, _, _), (_, first) in zip(level, _first_of_class(g for _, _, g in level)):
+        for (lineno, _), (_, first) in zip(level, _first_of_class(g for _, g in level)):
             if first is not None:
                 raise FormatError(
                     f"{corpus}:{lineno}: duplicate graph, isomorphic to line {level[first][0]}"
                 )
-    out = []
     for n in range(8, nmax + 1):
         if n not in by_order:
             raise DomainError(f"corpus {corpus} has no graphs of order {n}")
-        # a line in the table is its graph's own code; any other is encoded
-        out.extend((_TABLE.get(line) or _record(to_graph6(g)), g) for _, line, g in by_order[n])
-    return out
+    return [g for n in range(8, nmax + 1) for _, g in by_order[n]]
 
 
 # the drivers of the connected-graph suites, the suites that read a corpus
@@ -533,29 +514,29 @@ def _suite_tree_equality(checks, nmax, seed, corpus):
 
 @_connected
 def _suite_mdvstc(checks, pool):
-    gap, gap_id = -1, ""
+    gap, gap_g = -1, None
     for inst in _instances(pool):
-        gid = inst.gid
+        g = inst.g
         tc = inst.tc  # first: its distance matrix gives the diameter
         d, k = inst.diam, inst.md
-        checks.claim(k <= tc, gid, "md <= TC", k, tc, f"d={d}")
+        checks.claim(k <= tc, g, "md <= TC", k, tc, f"d={d}")
         # multiplied form of (TC-1)/d <= md, exact in integers and safe at d=0
         sandwich = "TC - 1 <= md * diameter"
-        checks.claim(tc - 1 <= k * d, gid, sandwich, tc - 1, k * d, f"d={d} k={k}")
+        checks.claim(tc - 1 <= k * d, g, sandwich, tc - 1, k * d, f"d={d} k={k}")
         if tc - k > gap:
-            gap, gap_id = tc - k, gid
-    extras = {"max_tc_minus_md": gap, "max_gap_instance": gap_id}
+            gap, gap_g = tc - k, g
+    extras = {"max_tc_minus_md": gap, "max_gap_instance": to_graph6(gap_g)}
     return len(pool), {"solver_cap": SOLVER_CAP}, extras
 
 
 @_connected
 def _suite_prop8(checks, pool):
     for inst in _instances(pool):
-        gid, n = inst.gid, inst.g.n
+        g, n = inst.g, inst.g.n
         tc, vcstar = inst.tc, inst.vc_star
         b = bound_tc_vc(tc, vcstar)
-        checks.claim(n <= b, gid, "n <= TC^vc* + 1", n, b, f"tc={tc} vc*={vcstar}")
-        checks.ratio(gid, n, b)
+        checks.claim(n <= b, g, "n <= TC^vc* + 1", n, b, f"tc={tc} vc*={vcstar}")
+        checks.ratio(g, n, b)
     return len(pool), {"solver_cap": SOLVER_CAP}, checks.max_ratio()
 
 
@@ -568,11 +549,11 @@ def _suite_prop10(checks, pool):
         if dvc < 2:
             continue
         checked += 1
-        gid, d, dstar = inst.gid, inst.diam, inst.vc_star
+        g, d, dstar = inst.g, inst.diam, inst.vc_star
         left = (dvc - math.log2(d)) / math.log2(dvc)
         quoted = "(dvc - log2 d)/log2 dvc <= dvc*"
-        checks.claim(left <= dstar + 1e-9, gid, quoted, f"{left:.9f}", dstar, f"d={d} dvc={dvc}")
-        checks.claim(dstar <= d * dvc, gid, "dvc* <= diameter * dvc", dstar, d * dvc, f"dvc={dvc}")
+        checks.claim(left <= dstar + 1e-9, g, quoted, f"{left:.9f}", dstar, f"d={d} dvc={dvc}")
+        checks.claim(dstar <= d * dvc, g, "dvc* <= diameter * dvc", dstar, d * dvc, f"dvc={dvc}")
         repaired_arg = 2.0**dvc / (d + 1) - 1
         if repaired_arg > 0 and math.log2(repaired_arg) / math.log2(dvc) > dstar + 1e-9:
             repaired_failures += 1
@@ -624,7 +605,7 @@ def _suite_thm14_minor(checks, pool):
         t_cap = min(t, 5)
         claim = "dual 2-vc forces a clique minor"
         holds = has_clique_minor(inst.g, t_cap)
-        checks.claim(holds, inst.gid, claim, f"no K_{t_cap} minor", f"d2vc={t}")
+        checks.claim(holds, inst.g, claim, f"no K_{t_cap} minor", f"d2vc={t}")
     extras = {"d2vc_histogram": {str(v): hist[v] for v in sorted(hist)}}
     return len(pool), {"clique_order_cap": 5}, extras
 
@@ -643,9 +624,8 @@ def _o_family(ks):
 
 @_connected
 def _suite_outerplanar_bound(checks, pool):
-    members = [(inst.gid, inst) for inst in _instances(pool) if inst.outerplanar]
-    for tag, g, _ in _o_family(range(2, 5)):
-        members.append((tag, _Instance(_record(to_graph6(g)), g)))
+    members = [(inst.g, inst) for inst in _instances(pool) if inst.outerplanar]
+    members += [(tag, _Instance(_Record(), g)) for tag, g, _ in _o_family(range(2, 5))]
     for name, inst in members:
         n = inst.g.n
         d = max(inst.diam, 1)
@@ -661,15 +641,15 @@ def _suite_outerplanar_bound(checks, pool):
 def _suite_treedec_bound(checks, pool):
     chordal_count = 0
     for inst in _instances(pool):
-        gid, n = inst.gid, inst.g.n
+        g, n = inst.g, inst.g.n
         chordal_count += inst.chordal
         w, ell = inst.width, inst.length
         d = max(inst.diam, 1)
         k = max(inst.md, 1)
         b = bound_treedec(d, k, max(w, 1), ell)
         witness = f"d={d} k={k} w={w} len={ell}"
-        checks.claim(n <= b, gid, "n <= decomposition bound", n, b, witness)
-        checks.ratio(gid, n, b)
+        checks.claim(n <= b, g, "n <= decomposition bound", n, b, witness)
+        checks.ratio(g, n, b)
     # "reduced" names the decomposition the bound is stated for; reducing
     # keeps w and the length, so both are read off the unreduced one
     fields = {"decomposition": "clique tree when chordal, else exact treewidth, reduced"}
@@ -686,7 +666,7 @@ def _suite_chordal_obs(checks, pool):
         w = inst.width  # of the clique tree
         k = inst.md
         max_w = max(max_w, w)
-        checks.claim(w <= 3**k, inst.gid, "treewidth <= 3^md", w, 3**k, f"k={k}")
+        checks.claim(w <= 3**k, inst.g, "treewidth <= 3^md", w, 3**k, f"k={k}")
     return chordal_count, {"solver_cap": SOLVER_CAP}, {"max_width": max_w}
 
 

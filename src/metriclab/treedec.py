@@ -206,33 +206,25 @@ def clique_tree(g: Graph) -> TreeDecomposition:
     return TreeDecomposition(g, cliques, edges)
 
 
-def _is_clique(g: Graph, mask: int) -> bool:
-    for v in iter_bits(mask):
-        if mask & ~g.adj[v] & ~(1 << v):
-            return False
-    return True
-
-
 def _strip_simplicial(g: Graph):
-    """Peel vertices whose neighborhood is a clique; exact for treewidth."""
-    cur = g
-    names = list(range(g.n))
-    stack = []  # (original vertex, original neighbor set at peel time)
+    """Peel vertices whose neighborhood is a clique, always the lowest one
+    left, rescanning after each peel; exact for treewidth."""
+    adj = g.adj
+    alive = (1 << g.n) - 1
+    stack = []  # (vertex, neighbor set at peel time)
     peeled_deg = -1
-    progress = True
-    while progress:
-        progress = False
-        for v in range(cur.n):
-            if _is_clique(cur, cur.adj[v]):
-                nbs = {names[u] for u in cur.neighbors(v)}
-                stack.append((names[v], nbs))
-                peeled_deg = max(peeled_deg, len(nbs))
-                keep = [u for u in range(cur.n) if u != v]
-                names = [names[u] for u in keep]
-                cur = cur.induced(keep)
-                progress = True
+    while True:
+        for v in iter_bits(alive):
+            nbs = adj[v] & alive
+            if not any(nbs & ~adj[u] & ~(1 << u) for u in iter_bits(nbs)):
                 break
-    return cur, names, stack, peeled_deg
+        else:
+            break
+        stack.append((v, set(iter_bits(nbs))))
+        peeled_deg = max(peeled_deg, nbs.bit_count())
+        alive &= ~(1 << v)
+    names = list(iter_bits(alive))
+    return g.induced(names), names, stack, peeled_deg
 
 
 def _degeneracy(g: Graph) -> int:

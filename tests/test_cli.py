@@ -339,6 +339,14 @@ def test_config_help_gives_the_cap_precedence(cli):
         assert code == 0 and "--maxn, then METRICLAB_MAXN, win over" in out
 
 
+def test_cap_flags_only_on_ops_that_read_a_cap(cli):
+    # an op without a cap refuses the flags instead of ignoring them
+    code, out, err = cli(["hyper", "dhg", "--maxn", "1"], stdin_text=P4_EDGES)
+    assert (code, out) == (2, "") and "--maxn" in err
+    code, out, err = cli(["td", "cliquetree", "--config", "x"], stdin_text=P4_EDGES)
+    assert (code, out) == (2, "") and "--config" in err
+
+
 # one fresh interpreter runs main(argv) and reports what it loaded
 _LOADS = """
 import io, json, sys

@@ -224,9 +224,11 @@ def test_bucket_key_splits_the_pinned_number_of_classes():
     assert len({iso_invariant(g) for g in enumerate_connected_graphs(7)}) == 976
 
 
-def test_connected_graph6_codes_follow_the_stream():
+def test_connected_levels_are_sorted_by_graph6():
     graphs = list(enumerate_connected_graphs(7))
-    assert enumeration._connected_graph6(7) == [to_graph6(g) for g in graphs]
+    for n in range(1, 8):
+        codes = [to_graph6(g) for g in graphs if g.n == n]
+        assert codes == sorted(codes) and len(set(codes)) == len(codes), n
 
 
 def test_shipped_corpus_shape():

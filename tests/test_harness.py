@@ -126,39 +126,49 @@ def test_instance_table_measures_each_graph_once(tmp_path, monkeypatch):
     def matrix_key(dist):
         return tuple(map(tuple, dist))
 
+    # every pool entry and every generated outerplanar member has a record
+    # of its own, so a graph is named by its object, not its graph6 code:
+    # the d=2 members of the family are pool graphs label for label, and
+    # for d <= 4 each member with chords equals the one without
+    held = []
+
+    def graph_key(g):
+        held.append(g)  # a live object's id is never reused
+        return id(g)
+
     for name in ("_metric_dimension", "treewidth_exact", "all_distances"):
-        count(name, to_graph6)
+        count(name, graph_key)
     # a test cover is solved on the ball hypergraph and d2vc on its dual,
     # each named by its edges; a ball hypergraph is named by its matrix
     count("min_test_cover", hyper_key)
     count("_dual_2vc", hyper_key)
     count("_distance_hypergraph", matrix_key)
-    pool = harness._connected_pool(8, shard)
     for order in (CONNECTED_SUITES, CONNECTED_SUITES[::-1]):
         harness._clear_instances()
         calls.clear()
         for name in order:
             r = run_suite(name, nmax=8, corpus=shard)
             assert canonical(golden_doc(r)) == canonical(frozen[name]), (order[0], name)
+        pool = harness._connected_pool(8, shard)  # the one the suites read
         assert set(calls) == {"_metric_dimension", "_dual_2vc", "treewidth_exact",
                               "min_test_cover", "all_distances", "_distance_hypergraph"}
         for name in ("_metric_dimension", "_dual_2vc", "treewidth_exact", "min_test_cover"):
             assert max(calls[name].values()) == 1, (order[0], name)
-        assert sum(calls["min_test_cover"].values()) <= len(harness._TABLE)
+        assert sum(calls["min_test_cover"].values()) <= len(pool)
         # one ball hypergraph per pool graph and none for the generated
         # outerplanar family; at most two matrices per pool graph
         assert set(calls["_distance_hypergraph"].values()) == {1}, order[0]
         assert len(calls["_distance_hypergraph"]) == len(pool), order[0]
-        assert max(calls["all_distances"][to_graph6(g)] for _, g in pool) <= 2, order[0]
+        assert max(calls["all_distances"][id(g)] for _, g in pool) <= 2, order[0]
         # the records hold scalars only
-        for rec in harness._TABLE.values():
+        for rec, _ in pool:
             for slot in rec.__slots__:
                 assert type(getattr(rec, slot)) in (int, bool, str, type(None)), slot
 
 
 def test_measure_table_is_the_record_layout():
-    assert harness._Record.__slots__ == ("gid", "balls", *harness._MEASURES)
-    inst = harness._Instance(harness._Record("@"), Graph(1))
+    assert harness._Record.__slots__ == ("balls", *harness._MEASURES)
+    inst = harness._Instance(harness._Record(), Graph(1))
     assert inst.chordal is True and inst.rec.chordal is True
     with pytest.raises(AttributeError):
         inst.not_a_measure
@@ -174,7 +184,7 @@ def test_shared_structures_match_the_public_solvers():
         perm = list(range(n))
         rng.shuffle(perm)
         h = g.relabeled(perm)
-        inst = harness._Instance(harness._Record(to_graph6(h)), h)
+        inst = harness._Instance(harness._Record(), h)
         assert inst.md == metric_dimension_exact(h).dimension == metric_dimension_exact(g).dimension
         assert inst.d2vc == dual_distance_2vc(h) == dual_distance_2vc(g)
         # the length is the decomposition's, which depends on the labels
@@ -195,7 +205,7 @@ def test_tree_and_generator_suites_make_no_records():
     harness._clear_instances()
     run_suite("tree_bound", nmax=8)
     run_suite("grid_chain", nmax=2)
-    assert harness._TABLE == {}
+    assert harness._POOLS == {}
 
 
 def test_unknown_suite():
@@ -319,20 +329,29 @@ def test_corpus_pool_is_loaded_once_per_text(tmp_path, monkeypatch):
         return parse(text)
 
     monkeypatch.setattr(harness, "parse_graph6", counted)
+
+    def builtin_records(pool):
+        # a corpus pool starts with the entries of the built-in n <= 7 pool
+        builtin = harness._connected_pool(7, None)
+        assert len(builtin) == 996
+        return all(a[0] is b[0] for a, b in zip(pool, builtin))
+
     harness._clear_instances()
     pool = harness._connected_pool(8, shard)
     assert harness._connected_pool(8, shard) is pool
     assert len(parsed) == 464 and set(parsed.values()) == {1}
+    assert builtin_records(pool)
     # a changed file is read afresh
     lines = Path(shard).read_text().splitlines()
     Path(shard).write_text("\n".join(lines[:10]) + "\n")
     smaller = harness._connected_pool(8, shard)
     assert len(smaller) == 996 + 10 and parsed[lines[0]] == 2
-    # the records of a cleared table go with the pools that hold them
+    assert builtin_records(smaller)
+    # the records of cleared pools go with them
     harness._clear_instances()
     again = harness._connected_pool(8, shard)
     assert again is not smaller and parsed[lines[0]] == 3
-    assert all(harness._TABLE[rec.gid] is rec for rec, _ in again)
+    assert again[0][0] is not smaller[0][0] and builtin_records(again)
 
 
 def zeroed(report: SuiteReport) -> str:

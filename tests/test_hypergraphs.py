@@ -365,41 +365,68 @@ def test_fixed_radius():
         distance_hypergraph_fixed_radius(path_graph(3), -1)
 
 
+def check_ball_families(g):
+    """Both ball families and both test-cover conversions of g against
+    Floyd-Warshall balls, with the sizes the conversions promise."""
+    dist = oracles.fw_distances(g)
+    diam = max(map(max, dist))
+    balls = [
+        [sum(1 << u for u in range(g.n) if dist[v][u] <= r) for v in range(g.n)]
+        for r in range(diam + 1)
+    ]
+    # distinct balls in edge order (radius outer, center inner), each
+    # with its first (center, radius)
+    first = {}
+    for r, row in enumerate(balls):
+        for v, ball in enumerate(row):
+            first.setdefault(ball, (v, r))
+    edges = list(first)
+    assert distance_hypergraph(g).edges == edges
+
+    for r in range(diam + 1):
+        fixed = distance_hypergraph_fixed_radius(g, r)
+        assert fixed.edges == balls[r]
+    for r in (-1, diam + 1):
+        with pytest.raises(DomainError):
+            distance_hypergraph_fixed_radius(g, r)
+
+    s = metric_dimension_exact(g).vertices
+    md = len(s)
+    slot = {ball: i for i, ball in enumerate(first)}
+    anchor = s[0] if s else 0
+    want = {slot[balls[r][x]] for x in s for r in range(diam)}
+    want.add(slot[balls[diam][anchor]])
+    cover = resolving_to_test_cover(g, s)
+    assert cover == sorted(want)
+    assert md <= len(cover) <= diam * md + 1
+    # every vertex pair is split by a chosen ball
+    for u, v in combinations(range(g.n), 2):
+        assert any((edges[i] >> u ^ edges[i] >> v) & 1 for i in cover), (u, v)
+    centers = [v for v, _ in first.values()]
+    back = cover_to_resolving(g, cover)
+    assert back == sorted({centers[i] for i in cover})
+    assert len(set(oracles.resolving_vectors(g, back).values())) == g.n
+    assert md <= len(back) <= len(cover)
+
+
 def test_ball_families_match_floyd_warshall_oracle():
     pool = list(enumerate_connected_graphs(6))
     assert len(pool) == 143
     for g in pool:
-        dist = oracles.fw_distances(g)
-        diam = max(map(max, dist))
-        balls = [
-            [sum(1 << u for u in range(g.n) if dist[v][u] <= r) for v in range(g.n)]
-            for r in range(diam + 1)
-        ]
-        # distinct balls in edge order (radius outer, center inner), each
-        # with its first (center, radius)
-        first = {}
-        for r, row in enumerate(balls):
-            for v, ball in enumerate(row):
-                first.setdefault(ball, (v, r))
-        h = distance_hypergraph(g)
-        assert h.edges == list(first)
+        check_ball_families(g)
 
-        for r in range(diam + 1):
-            fixed = distance_hypergraph_fixed_radius(g, r)
-            assert fixed.edges == balls[r]
-        for r in (-1, diam + 1):
-            with pytest.raises(DomainError):
-                distance_hypergraph_fixed_radius(g, r)
 
-        s = metric_dimension_exact(g).vertices
-        slot = {ball: i for i, ball in enumerate(first)}
-        anchor = s[0] if s else 0
-        want = {slot[balls[r][x]] for x in s for r in range(diam)}
-        want.add(slot[balls[diam][anchor]])
-        cover = resolving_to_test_cover(g, s)
-        assert cover == sorted(want)
-        centers = [v for v, _ in first.values()]
-        assert cover_to_resolving(g, cover) == sorted({centers[i] for i in cover})
+def test_ball_families_match_floyd_warshall_oracle_on_random_graphs():
+    # past the exhaustive pool: seeded random connected graphs of 7-10
+    # vertices, each with a relabelled copy
+    rng = random.Random(8080)
+    for _ in range(100):
+        n = rng.randrange(7, 11)
+        g = oracles.random_connected_graph(rng, n, rng.choice((0.1, 0.25, 0.5)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        check_ball_families(g)
+        check_ball_families(g.relabeled(perm))
 
 
 def test_fixed_radius_self_dual():
