@@ -625,7 +625,10 @@ def _o_family(ks):
 @_connected
 def _suite_outerplanar_bound(checks, pool):
     members = [(inst.g, inst) for inst in _instances(pool) if inst.outerplanar]
-    members += [(tag, _Instance(_Record(), g)) for tag, g, _ in _o_family(range(2, 5))]
+    # a member equal to a pool graph or an earlier member shares its record
+    records = {g: rec for rec, g in pool}
+    members += [(tag, _Instance(records.setdefault(g, _Record()), g))
+                for tag, g, _ in _o_family(range(2, 5))]
     for name, inst in members:
         n = inst.g.n
         d = max(inst.diam, 1)

@@ -8,7 +8,6 @@ so callers can show them; the other operations refuse invalid input.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable
 
 from .config import enforce_cap
@@ -20,7 +19,10 @@ class TreeDecomposition:
     """Bags over a host graph, joined by tree edges.
 
     Nothing mutates ``host`` after construction, so the violation report
-    is computed once, on construction.
+    is computed once, on construction, in one pass: each vertex gets its
+    holders mask (bit i set when bag i holds it) and each bag its tree
+    neighbors as a mask, and P1, P2, tree connectivity and P3 are read off
+    those masks.
     """
 
     __slots__ = ("host", "bags", "tree_edges", "_violations")
@@ -39,60 +41,61 @@ class TreeDecomposition:
         out = []
         nb = len(self.bags)
         n = self.host.n
+        holders = [0] * n
         for i, bag in enumerate(self.bags):
             for v in sorted(bag):
-                if not 0 <= v < n:
+                if 0 <= v < n:
+                    holders[v] |= 1 << i
+                else:
                     out.append(f"bag {i}: vertex {v} outside host range")
         tree_ok = True
-        seen_edges = set()
-        adj = [[] for _ in range(nb)]
+        adj = [0] * nb
         for i, j in self.tree_edges:
             if not (0 <= i < nb and 0 <= j < nb):
                 out.append(f"tree: edge ({i}, {j}) has a bag index out of range")
                 tree_ok = False
-                continue
-            if i == j:
+            elif i == j:
                 out.append(f"tree: self-loop at bag {i}")
                 tree_ok = False
-                continue
-            if (i, j) in seen_edges:
+            elif adj[i] >> j & 1:
                 out.append(f"tree: duplicate edge ({i}, {j})")
                 tree_ok = False
-                continue
-            seen_edges.add((i, j))
-            adj[i].append(j)
-            adj[j].append(i)
-        if tree_ok and nb > 0:
-            if len(seen_edges) != nb - 1:
-                out.append(f"tree: expected {nb - 1} edges, found {len(seen_edges)}")
-                tree_ok = False
             else:
-                seen = {0}
-                stack = [0]
-                while stack:
-                    for j in adj[stack.pop()]:
-                        if j not in seen:
-                            seen.add(j)
-                            stack.append(j)
-                if len(seen) != nb:
-                    out.append("tree: bag nodes are not connected")
-                    tree_ok = False
-        covered = set().union(*self.bags) if self.bags else set()
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        if tree_ok and nb > 0:
+            if len(self.tree_edges) != nb - 1:
+                out.append(f"tree: expected {nb - 1} edges, found {len(self.tree_edges)}")
+                tree_ok = False
+            elif _reach(adj, (1 << nb) - 1, 1).bit_count() != nb:
+                out.append("tree: bag nodes are not connected")
+                tree_ok = False
         for v in range(n):
-            if v not in covered:
+            if not holders[v]:
                 out.append(f"P1: vertex {v} appears in no bag")
         for u, v in self.host.edges():
-            if not any(u in bag and v in bag for bag in self.bags):
+            if not holders[u] & holders[v]:
                 out.append(f"P2: edge ({u}, {v}) contained in no bag")
         if tree_ok:
-            # the bags holding v induce a subforest of the tree, with fewer
-            # edges than bags unless it is one subtree
-            holders = Counter(v for bag in self.bags for v in bag)
-            inner = Counter(v for i, j in self.tree_edges for v in self.bags[i] & self.bags[j])
-            for v in range(n):
-                if inner[v] < holders[v] - 1:
+            # one subtree: every bag holding v is reached from the lowest one
+            # without passing a bag that lacks v
+            for v, held in enumerate(holders):
+                if held and _reach(adj, held, held & -held) != held:
                     out.append(f"P3: bags containing vertex {v} do not form a subtree")
         return tuple(out)
+
+
+def _reach(adj: list[int], mask: int, seed: int) -> int:
+    """The nodes reachable from the seed nodes along adj (neighbor masks)
+    without leaving mask; seed lies inside mask."""
+    seen = frontier = seed
+    while frontier:
+        nxt = 0
+        for i in iter_bits(frontier):
+            nxt |= adj[i]
+        frontier = nxt & mask & ~seen
+        seen |= frontier
+    return seen
 
 
 def validate(td: TreeDecomposition) -> list[str]:
@@ -185,7 +188,8 @@ def _max_weight_spanning_tree(nodes: int, weight) -> list[tuple[int, int]]:
 
 def clique_tree(g: Graph) -> TreeDecomposition:
     """Maximal cliques as bags, joined by a maximum-weight spanning tree on
-    pairwise intersection sizes. Needs a chordal host."""
+    pairwise intersection sizes. Needs a chordal host. The result is
+    checked as treewidth_exact's is: an invalid one raises InternalError."""
     if not is_chordal(g):
         raise DomainError("clique_tree needs a chordal graph")
     if g.n == 0:
@@ -203,7 +207,10 @@ def clique_tree(g: Graph) -> TreeDecomposition:
     edges = _max_weight_spanning_tree(
         len(cliques), lambda i, j: len(cliques[i] & cliques[j])
     )
-    return TreeDecomposition(g, cliques, edges)
+    td = TreeDecomposition(g, cliques, edges)
+    if td._violations:
+        raise InternalError("clique_tree: the clique tree is not a valid decomposition")
+    return td
 
 
 def _strip_simplicial(g: Graph):
@@ -225,17 +232,6 @@ def _strip_simplicial(g: Graph):
         alive &= ~(1 << v)
     names = list(iter_bits(alive))
     return g.induced(names), names, stack, peeled_deg
-
-
-def _degeneracy(g: Graph) -> int:
-    adj = list(g.adj)
-    alive = (1 << g.n) - 1
-    best = 0
-    while alive:
-        v = min(iter_bits(alive), key=lambda u: (adj[u] & alive).bit_count())
-        best = max(best, (adj[v] & alive).bit_count())
-        alive &= ~(1 << v)
-    return best
 
 
 def _min_fill_order(g: Graph) -> tuple[list[int], int]:
@@ -283,12 +279,11 @@ def _treewidth_core(g: Graph) -> tuple[int, list[int]]:
     """Exact treewidth of a peel-free core, with a realizing elimination order.
 
     Layered subset search over elimination prefixes, keeping the minimal
-    prefix-maximum per subset; the min-fill bound prunes, the degeneracy
-    bound can close the gap outright.
+    prefix-maximum per subset; the min-fill width bounds it from above, so
+    a prefix reaching that width is dropped, and the min-fill order stands
+    when no full prefix is left.
     """
     order_ub, ub = _min_fill_order(g)
-    if _degeneracy(g) >= ub:
-        return ub, order_ub
     n = g.n
     adj = list(g.adj)
     full = (1 << n) - 1

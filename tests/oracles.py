@@ -6,6 +6,7 @@ agreement between the two is meaningful evidence.
 """
 
 import itertools
+from collections import Counter
 
 from metriclab.config import enforce_cap
 from metriclab.enumeration import (
@@ -418,6 +419,67 @@ def brute_max_clique(g):
 # reduced decompositions: the paper's cutset and hanging-subtree devices
 
 
+def reference_violations(td) -> list[str]:
+    """Every violation of td, in validate's order, by sets and counts: a
+    DFS for tree connectivity, a scan of every bag per host edge, and P3 as
+    'the bags holding v span one fewer tree edge than their number'."""
+    out = []
+    nb = len(td.bags)
+    n = td.host.n
+    for i, bag in enumerate(td.bags):
+        for v in sorted(bag):
+            if not 0 <= v < n:
+                out.append(f"bag {i}: vertex {v} outside host range")
+    tree_ok = True
+    seen_edges = set()
+    adj = [[] for _ in range(nb)]
+    for i, j in td.tree_edges:
+        if not (0 <= i < nb and 0 <= j < nb):
+            out.append(f"tree: edge ({i}, {j}) has a bag index out of range")
+            tree_ok = False
+            continue
+        if i == j:
+            out.append(f"tree: self-loop at bag {i}")
+            tree_ok = False
+            continue
+        if (i, j) in seen_edges:
+            out.append(f"tree: duplicate edge ({i}, {j})")
+            tree_ok = False
+            continue
+        seen_edges.add((i, j))
+        adj[i].append(j)
+        adj[j].append(i)
+    if tree_ok and nb > 0:
+        if len(seen_edges) != nb - 1:
+            out.append(f"tree: expected {nb - 1} edges, found {len(seen_edges)}")
+            tree_ok = False
+        else:
+            seen = {0}
+            stack = [0]
+            while stack:
+                for j in adj[stack.pop()]:
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+            if len(seen) != nb:
+                out.append("tree: bag nodes are not connected")
+                tree_ok = False
+    covered = set().union(*td.bags)
+    for v in range(n):
+        if v not in covered:
+            out.append(f"P1: vertex {v} appears in no bag")
+    for u, v in td.host.edges():
+        if not any(u in bag and v in bag for bag in td.bags):
+            out.append(f"P2: edge ({u}, {v}) contained in no bag")
+    if tree_ok:
+        holders = Counter(v for bag in td.bags for v in bag)
+        inner = Counter(v for i, j in td.tree_edges for v in td.bags[i] & td.bags[j])
+        for v in range(n):
+            if inner[v] < holders[v] - 1:
+                out.append(f"P3: bags containing vertex {v} do not form a subtree")
+    return out
+
+
 def is_reduced(td) -> bool:
     for i, j in td.tree_edges:
         if td.bags[i] <= td.bags[j] or td.bags[j] <= td.bags[i]:
@@ -533,7 +595,8 @@ def has_minor_brute(g, target, _memo=None):
 
 
 def tree_from_pruefer(seq, n):
-    assert len(seq) == n - 2
+    if len(seq) != n - 2:
+        raise ValueError(f"Pruefer sequence of length {len(seq)} for {n} vertices")
     degree = [1] * n
     for s in seq:
         degree[s] += 1

@@ -162,6 +162,17 @@ def test_td_cliquetree(cli):
     assert code == 2 and out == "" and "error:" in err
 
 
+def test_invalid_clique_tree_exits_4(cli, monkeypatch):
+    from metriclab import treedec
+
+    mst = treedec._max_weight_spanning_tree
+    monkeypatch.setattr(treedec, "_max_weight_spanning_tree",
+                        lambda nodes, weight: mst(nodes, weight)[1:])
+    code, out, err = cli(["td", "cliquetree"], stdin_text=P4_EDGES)
+    assert (code, out) == (4, "")
+    assert err == "error: clique_tree: the clique tree is not a valid decomposition\n"
+
+
 def test_td_validate_flags_bad_decomposition(cli, tmp_path):
     gpath = tmp_path / "p3.txt"
     gpath.write_text("0 1\n1 2\n")

@@ -126,10 +126,11 @@ def test_instance_table_measures_each_graph_once(tmp_path, monkeypatch):
     def matrix_key(dist):
         return tuple(map(tuple, dist))
 
-    # every pool entry and every generated outerplanar member has a record
-    # of its own, so a graph is named by its object, not its graph6 code:
-    # the d=2 members of the family are pool graphs label for label, and
-    # for d <= 4 each member with chords equals the one without
+    # every pool entry has a record of its own, and a generated outerplanar
+    # member shares the record of an equal pool graph or earlier member (the
+    # d=2 members are pool graphs label for label, and for d <= 4 each member
+    # with chords equals the one without); the counters name a graph by its
+    # object, not its graph6 code
     held = []
 
     def graph_key(g):

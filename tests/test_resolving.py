@@ -178,6 +178,10 @@ def test_solver_checks_survive_python_O():
         treedec._treewidth_core = lambda core: (0, list(range(core.n)))
         with pytest.raises(InternalError):
             treedec.treewidth_exact(cycle_graph(5))
+        mst = treedec._max_weight_spanning_tree
+        treedec._max_weight_spanning_tree = lambda nodes, weight: mst(nodes, weight)[1:]
+        with pytest.raises(InternalError):
+            treedec.clique_tree(path_graph(4))
         real = resolving._bfs_certificate
         resolving._bfs_certificate = lambda t, s: real(t, [0] * len(s))
         with pytest.raises(InternalError):

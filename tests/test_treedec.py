@@ -37,6 +37,7 @@ from oracles import (
     random_connected_graph,
     random_graph,
     random_tree,
+    reference_violations,
 )
 
 
@@ -108,6 +109,61 @@ def test_subtree_property_matches_a_search_over_the_bag_tree():
             if len(reached) != len(holders):
                 want.append(f"P3: bags containing vertex {v} do not form a subtree")
         assert [x for x in validate(td) if x.startswith("P3")] == want
+
+
+def _mutate(rng, kind, td):
+    """Bags and tree edges of td with one seeded fault of the given kind."""
+    bags = [set(b) for b in td.bags]
+    edges = [list(e) for e in td.tree_edges]
+    n, nb = td.host.n, len(bags)
+    if kind == "drop vertex":
+        bag = rng.choice(bags)
+        bag.discard(rng.choice(sorted(bag)))
+    elif kind == "out of range":
+        rng.choice(bags).add(rng.choice((-1, n, n + 4)))
+    elif kind == "extra bag":
+        bags.append(set(rng.sample(range(n), rng.randint(0, n))))
+    elif kind == "spread vertex":
+        v = rng.randrange(n)
+        for bag in bags:
+            if rng.random() < 0.5:
+                bag.add(v)
+    elif kind == "drop edge":
+        edges.pop(rng.randrange(len(edges)))
+    elif kind == "duplicate edge":
+        edges.append(rng.choice(edges)[::-1])
+    elif kind == "self-loop":
+        i = rng.randrange(nb)
+        edges.append([i, i])
+    elif kind == "edge out of range":
+        edges.append([rng.randrange(nb), nb + rng.randrange(3)])
+    elif kind == "move edge":
+        edges.pop(rng.randrange(len(edges)))
+        edges.append(rng.sample(range(nb), 2))
+    return TreeDecomposition(td.host, bags, edges)
+
+
+def test_violation_lists_match_the_reference_on_mutated_decompositions():
+    rng = random.Random(6021)
+    kinds = ("drop vertex", "out of range", "extra bag", "spread vertex", "drop edge",
+             "duplicate edge", "self-loop", "edge out of range", "move edge")
+    seen = set()
+    for g in enumerate_connected_graphs(6):
+        tds = [treewidth_exact(g)[1]] + ([clique_tree(g)] if is_chordal(g) else [])
+        for td in tds:
+            assert validate(td) == reference_violations(td) == []
+            for kind in kinds:
+                if kind in ("drop edge", "duplicate edge", "move edge") and not td.tree_edges:
+                    continue
+                for _ in range(3):
+                    bad = _mutate(rng, kind, td)
+                    report = validate(bad)
+                    assert report == reference_violations(bad), (to_graph6(g), kind)
+                    seen.update(report)
+    # every kind of message came up
+    for phrase in ("outside host range", "index out of range", "self-loop", "duplicate edge",
+                   "expected", "not connected", "P1:", "P2:", "P3:"):
+        assert any(phrase in v for v in seen), phrase
 
 
 def test_invalid_input_is_refused_with_the_first_violation():
@@ -233,7 +289,8 @@ def test_treewidth_on_chordal():
 
 
 def test_treewidth_cap_is_post_peel():
-    # paths and long cycles peel or close the bound without the subset search
+    # paths peel away; on a long cycle the subset search stops at its first
+    # layer, where every elimination already reaches the min-fill width
     assert treewidth_exact(path_graph(30))[0] == 1
     assert treewidth_exact(cycle_graph(18))[0] == 2
     with pytest.raises(TooLargeError):
