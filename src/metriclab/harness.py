@@ -47,8 +47,11 @@ vc* and d2vc each take the dual of the kept hypergraph afresh; neither the
 matrix nor the dual is kept. Width and length are read off the
 decomposition as built, not reduced: the bound is stated for a reduced
 decomposition, but absorbing a bag into a neighbour that contains it keeps
-both numbers. The tree and generator suites measure their instances
-directly and make no records.
+both numbers. The tree suites measure their instances directly and make
+no records. The generator suites read a member's diameter, declared-set
+check, md and radius-1 balls off one distance matrix; extremal_specs keeps
+a record per distinct graph for the run, so a member generated twice is
+measured once.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ from .hypergraphs import (
     Hypergraph,
     _distance_hypergraph,
     _dual_2vc,
-    distance_hypergraph_fixed_radius,
+    _fixed_radius,
     dual,
     min_test_cover,
     trace,
@@ -97,8 +100,7 @@ from .hypergraphs import (
 from .minors import has_clique_minor, is_outerplanar
 from .resolving import (
     _metric_dimension,
-    is_resolving,
-    metric_dimension_exact,
+    _resolves,
     tree_metric_dimension,
 )
 from .treedec import _length, clique_tree, treewidth_exact, width
@@ -677,21 +679,35 @@ def _suite_chordal_obs(checks, pool):
 # generator suites
 
 
-def _check_prediction(checks, tag, g, spec):
+def _check_prediction(checks, tag, inst, spec, verdicts):
+    """Check a generated member against its spec. The diameter, the
+    declared-set check and md read one distance matrix; ``verdicts`` keeps
+    each declared-set check by (graph, set), so that a graph generated twice
+    and handed in with the same record is measured once."""
+    g = inst.g
     checks.claim(g.n == spec.order, tag, "order matches prediction", g.n, spec.order)
-    dm = diameter(g)
+    dm = inst.diam
     checks.claim(dm == spec.diameter, tag, "diameter matches prediction", dm, spec.diameter)
     size = len(spec.resolving_set)
-    resolves = is_resolving(g, spec.resolving_set)
-    checks.claim(resolves, tag, "declared set resolves", "not resolving", f"|S|={size}")
+    key = (g, spec.resolving_set)
+    if key not in verdicts:
+        verdicts[key] = _resolves(inst.dist(), spec.resolving_set)
+    checks.claim(verdicts[key], tag, "declared set resolves", "not resolving", f"|S|={size}")
     if spec.metric_dimension is not None:
         want = spec.metric_dimension
-        km = metric_dimension_exact(g, maxn=SOLVER_CAP).dimension
+        km = inst.md
         checks.claim(km == want, tag, "dimension matches prediction", km, want)
         checks.claim(size == want, tag, "declared set has minimum size", size, want)
 
 
 def _suite_extremal_specs(checks, nmax, seed, corpus):
+    # a graph generated twice keeps one record, and every case still counts:
+    # O(d, k) has no chord to add for d <= 4, and O(2, k) is HS(2, k)
+    records, verdicts = {}, {}
+
+    def member(g):
+        return _Instance(records.setdefault(g, _Record()), g)
+
     cases = 0
     for r in range(1, 7):
         cases += 1
@@ -706,19 +722,22 @@ def _suite_extremal_specs(checks, nmax, seed, corpus):
                 cases += 1
                 g, spec = gen_hs(d, k, a)
                 tag = _hs_tag(d, k, a)
-                _check_prediction(checks, tag, g, spec)
+                _check_prediction(checks, tag, member(g), spec, verdicts)
                 checks.claim(is_tree(g), tag, "assembly is a tree", "not a tree", "tree")
     for tag, g, spec in _o_family((2, 3)):
         cases += 1
-        _check_prediction(checks, tag, g, spec)
+        inst = member(g)
+        _check_prediction(checks, tag, inst, spec, verdicts)
         claim = "family is outerplanar"
-        checks.claim(is_outerplanar(g), tag, claim, "not outerplanar", "outerplanar")
+        checks.claim(inst.outerplanar, tag, claim, "not outerplanar", "outerplanar")
     for t in (2, 3, 4):
         cases += 1
-        _check_prediction(checks, f"grid_chain(t={t})", *gen_grid_chain(t))
+        g, spec = gen_grid_chain(t)
+        _check_prediction(checks, f"grid_chain(t={t})", member(g), spec, verdicts)
     for k in (2, 3, 4):
         cases += 1
-        _check_prediction(checks, f"line_example(k={k})", *gen_line_example(k))
+        g, spec = gen_line_example(k)
+        _check_prediction(checks, f"line_example(k={k})", member(g), spec, verdicts)
     config = {
         "hs_grid": "d=2..9 k=2..3 with odd-d endpoint variants",
         "o_grid": "d=2..8 k=2..3 both chord settings",
@@ -734,11 +753,12 @@ def _suite_grid_chain(checks, nmax, seed, corpus):
     diameters = {}
     for t in range(2, tmax + 1):
         g, spec = gen_grid_chain(t)
+        dist = all_distances(g)
         tag = f"grid_chain(t={t})"
         checks.claim(g.n == t**3, tag, "order is t^3", g.n, t**3)
-        resolves = is_resolving(g, spec.resolving_set)
+        resolves = _resolves(dist, spec.resolving_set)
         checks.claim(resolves, tag, "declared 3-set resolves", "not resolving", "|S|=3")
-        diameters[str(t)] = {"measured": diameter(g), "quoted": 4 * t}
+        diameters[str(t)] = {"measured": _diameter(dist), "quoted": 4 * t}
     extras = {
         "diameter": diameters,
         "note": "diameter comparison is informational; "
@@ -754,14 +774,15 @@ def _suite_line_example(checks, nmax, seed, corpus):
     diameters = {}
     for k in range(2, kmax + 1):
         g, spec = gen_line_example(k)
+        dist = all_distances(g)
         tag = f"line_example(k={k})"
         want = k + 2**k - 1 + sum(i * math.comb(k, i) for i in range(1, k + 1))
         checks.claim(g.n == want, tag, "order matches the formula", g.n, want)
-        resolves = is_resolving(g, spec.resolving_set)
+        resolves = _resolves(dist, spec.resolving_set)
         checks.claim(resolves, tag, "pinned-edge set resolves", "not resolving", f"|S|={k}")
-        vc1 = vc_dimension(distance_hypergraph_fixed_radius(g, 1), maxn=SOLVER_CAP)[0]
+        vc1 = vc_dimension(_fixed_radius(dist, 1), maxn=SOLVER_CAP)[0]
         checks.claim(vc1 <= 4, tag, "vc of radius-1 balls <= 4", vc1, 4)
-        dm = diameter(g)
+        dm = _diameter(dist)
         # provably 5 for every k >= 2: subset vertices for disjoint index
         # sets need five hops; the often-quoted 4 is not attained
         checks.claim(dm == 5, tag, "diameter is 5", dm, 5)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .config import enforce_cap
 from .errors import DomainError, FormatError, InternalError, TooLargeError
-from .graphs import MAX_VERTICES, Graph, all_distances, iter_bits
+from .graphs import _BYTE_BITS, MAX_VERTICES, Graph, all_distances, iter_bits
 from .setcover import min_cover
 
 
@@ -137,11 +137,16 @@ def trace(h: Hypergraph, x) -> Hypergraph:
 
 
 def _columns(edges: list[int], nverts: int) -> list[int]:
-    """cols[v] is the mask of the edge slots holding v."""
+    """cols[v] is the mask of the edge slots holding v. Each edge is read a
+    byte at a time through the table of set bits per byte."""
     cols = [0] * nverts
     for i, e in enumerate(edges):
-        for v in iter_bits(e):
-            cols[v] |= 1 << i
+        bit, base = 1 << i, 0
+        while e:
+            for v in _BYTE_BITS[e & 255]:
+                cols[base + v] |= bit
+            e >>= 8
+            base += 8
     return cols
 
 
@@ -159,31 +164,46 @@ def is_twin_free(h: Hypergraph) -> bool:
 # (2-)shattered sets in lexicographic preorder (_largest_shattered). A set's
 # trace groups are kept as masks over the distinct edges and split by one
 # vertex's column on the way down; one pass over them (_extensions) gives
-# the vertices that extend the set and a bound on how many more can join it.
+# a bound on how many more vertices can join the set and the vertices that
+# can still join it in a set larger than the best one found so far.
 
 
-def _extensions(cols: list[int], cand: int, groups, pairs_only: bool) -> tuple[int, int]:
+def _extensions(cols: list[int], cand: int, groups, pairs_only: bool, need: int) -> tuple[int, int]:
     """(ext, room) of a set X known to be shattered (2-shattered if
     ``pairs_only``), from its trace groups as masks over the distinct edges.
 
     cols[w] is the mask of the edges holding w. For vc, ``groups`` lists
     every nonempty group; for vc2 it is (group 0, the groups {a} for a in X,
-    the groups {a, b} for the pairs of X). ext is the mask of the w in
-    ``cand`` (all above max(X)) with X | {w} shattered (2-shattered); room
-    bounds how many vertices any shattered (2-shattered) superset of X adds.
+    the groups {a, b} for the pairs of X). room bounds how many vertices any
+    shattered (2-shattered) superset of X adds. Only a superset X | Y with
+    |Y| = ``need`` >= 1 can beat the search's best, so (0, 0) comes back
+    when room < need, before any candidate is read. Otherwise ext is the
+    mask of the w in ``cand`` (all above max(X)) that pass the
+    per-candidate test, with k = need - 1:
+
+    - vc: every group g has 2^k edges inside w's column and 2^k outside;
+    - vc2: group 0 has k edges inside the column, and for every a in X the
+      group {a} has one edge inside and k outside; every group {a, b} has
+      an edge outside.
+
+    Every w of a qualifying X | Y with w in Y and |Y| = need passes (see
+    _largest_shattered for the proof), and at need = 1 the test says
+    exactly that X | {w} is shattered (2-shattered).
     """
     ext = 0
+    k = need - 1
     if not pairs_only:
-        # room 0 means a group of one edge, which no w splits
         room = min(map(int.bit_count, groups)).bit_length() - 1
-        if not room:
+        if room < need:
             return 0, 0
+        least = 1 << k
         while cand:
             w = cand & -cand
             cand ^= w
             cw = cols[w.bit_length() - 1]
-            for g in groups:
-                if not 0 < g & cw < g:  # w must split the group
+            for g in groups:  # 2^k edges of the group on either side of w
+                inside = g & cw
+                if inside.bit_count() < least or (g ^ inside).bit_count() < least:
                     break
             else:
                 ext |= w
@@ -191,15 +211,17 @@ def _extensions(cols: list[int], cand: int, groups, pairs_only: bool) -> tuple[i
     zero, singles, pairs = groups
     room = (1 + isqrt(1 + 8 * zero.bit_count())) // 2  # largest j, C(j, 2) <= |group 0|
     room = min(room, min(map(int.bit_count, singles), default=room))
-    # room 0 means an empty group {a}, which no w fills
-    if not room:
+    if room < need:
         return 0, 0
     while cand:
         w = cand & -cand
         cand ^= w
         cw = cols[w.bit_length() - 1]
+        if (zero & cw).bit_count() < k:  # k edges of trace {w, y}, y in Y
+            continue
         for g in singles:
-            if not g & cw:  # some edge of trace {a} must hold w
+            # an edge of trace {a, w}, and k of traces {a, y} that miss w
+            if not g & cw or (g & ~cw).bit_count() < k:
                 break
         else:
             for g in pairs:
@@ -236,8 +258,7 @@ def _largest_shattered(h: Hypergraph, pairs_only: bool) -> tuple[int, ShatterWit
     iff for every a in X some edge of trace {a} holds w (so trace {a} must
     occur) and for every pair of X some edge of that trace misses w. Both
     rules are exact because both properties are hereditary: X is known to
-    qualify, so only the traces that gain w are in question. Heredity also
-    puts every later extension of X | {v} among the extensions of X above v.
+    qualify, so only the traces that gain w are in question.
 
     Bounds, each exact because distinct traces on a larger set need distinct
     edges. If X | Y is shattered with Y disjoint from X, group t holds the
@@ -253,11 +274,27 @@ def _largest_shattered(h: Hypergraph, pairs_only: bool) -> tuple[int, ShatterWit
     edges), so once the best size reaches the ceiling every later child is
     skipped and the search ends with no further pass.
 
-    The incumbent is replaced only by a strictly larger set, and a skipped
-    subtree holds no larger one, so the witness is the lexicographically
-    first largest set, the same as that of testing every candidate
-    X | {v} level by level. Each of its traces is realized by its first
-    edge slot in h (pairs only for 2-shattering).
+    Per candidate, by the same count: a node X is built only to find a
+    set larger than the best size b, so only the qualifying X | Y with
+    |Y| = need = b + 1 - |X| matter (a larger one contains one of that
+    size, by heredity), and ext(X) keeps only the w that lie in the Y of
+    one. Let k = need - 1 and w in Y. If X | Y is shattered, group t holds
+    the 2^k edges with traces t | Z, Z a subset of Y holding w, all inside
+    w's column, and the 2^k with Z missing w, all outside it. If X | Y is
+    2-shattered, group 0 holds the k edges with traces {w, y}, y in Y - w,
+    inside the column; group {a} holds the edge of trace {a, w} inside it
+    and the k edges of traces {a, y} outside it; group {a, b} holds the
+    edge of trace {a, b}, outside it. A w that fails is in no such Y, nor
+    is it in any larger set below X, since b only grows: dropping it loses
+    no set larger than the best. The same heredity puts every w of such a
+    set through X | {v} among the kept w of X above v, which is why the
+    child's candidates are the parent's extensions above v.
+
+    The incumbent is replaced only by a strictly larger set, and neither a
+    skipped subtree nor a dropped candidate holds a larger one, so the
+    witness is the lexicographically first largest set, the same as that
+    of testing every candidate X | {v} level by level. Each of its traces
+    is realized by its first edge slot in h (pairs only for 2-shattering).
     """
     edges = list(dict.fromkeys(h.edges))
     cols = _columns(edges, h.nverts)
@@ -277,9 +314,11 @@ def _largest_shattered(h: Hypergraph, pairs_only: bool) -> tuple[int, ShatterWit
                 best, best_mask = size + 1, xmask | v
             if reach > best:
                 sub = _split(groups, cols[v.bit_length() - 1], pairs_only)
-                search(xmask | v, size + 1, sub, *_extensions(cols, ext, sub, pairs_only))
+                # X | {v} must gain best - size more vertices to beat best
+                need = best - size
+                search(xmask | v, size + 1, sub, *_extensions(cols, ext, sub, pairs_only, need))
 
-    search(0, 0, root, *_extensions(cols, (1 << h.nverts) - 1, root, pairs_only))
+    search(0, 0, root, *_extensions(cols, (1 << h.nverts) - 1, root, pairs_only, 1))
     first: dict[int, int] = {}
     for i, e in enumerate(h.edges):
         t = e & best_mask
@@ -358,10 +397,15 @@ def _distance_hypergraph(dist: list[list[int]]) -> Hypergraph:
 def distance_hypergraph_fixed_radius(g: Graph, radius: int) -> Hypergraph:
     """One edge per vertex: its ball of the given radius. Never deduplicated,
     so the dual equals the hypergraph itself slot for slot."""
-    balls = _balls(all_distances(g))
+    return _fixed_radius(all_distances(g), radius)
+
+
+def _fixed_radius(dist: list[list[int]], radius: int) -> Hypergraph:
+    """distance_hypergraph_fixed_radius from the graph's distance matrix."""
+    balls = _balls(dist)
     if not 0 <= radius < len(balls):
         raise DomainError(f"radius {radius} outside 0..{len(balls) - 1}")
-    return Hypergraph(g.n, balls[radius])
+    return Hypergraph(len(dist), balls[radius])
 
 
 def dual_distance_2vc(g: Graph, maxn: int | None = None) -> int:

@@ -167,6 +167,34 @@ def test_instance_table_measures_each_graph_once(tmp_path, monkeypatch):
                 assert type(getattr(rec, slot)) in (int, bool, str, type(None)), slot
 
 
+def test_generator_suites_take_one_matrix_per_member(monkeypatch):
+    # the diameter, the declared-set check, md and the radius-1 balls of a
+    # generated graph read one distance matrix; a graph generated twice
+    # (O(d, k) for d <= 4 with and without chords, O(2, k) and HS(2, k)) is
+    # measured once, and every case still counts
+    frozen = golden("default")
+    calls: dict[str, Counter] = {}
+
+    def count(name):
+        solver = getattr(harness, name)
+
+        def counted(g, *args, **kwargs):
+            calls[name][g] += 1
+            return solver(g, *args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+
+    count("all_distances")
+    count("_metric_dimension")
+    for name, members in (("extremal_specs", 62), ("grid_chain", 3), ("line_example", 4)):
+        calls.update(all_distances=Counter(), _metric_dimension=Counter())
+        r = run_suite(name)
+        assert canonical(golden_doc(r)) == canonical(frozen[name]), name
+        assert len(calls["all_distances"]) == members, name
+        assert set(calls["all_distances"].values()) == {1}, name
+        assert set(calls["_metric_dimension"].values()) <= {1}, name
+
+
 def test_measure_table_is_the_record_layout():
     assert harness._Record.__slots__ == ("balls", *harness._MEASURES)
     inst = harness._Instance(harness._Record(), Graph(1))

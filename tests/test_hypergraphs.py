@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from metriclab import hypergraphs
 from metriclab.errors import DomainError, FormatError, TooLargeError
 from metriclab.enumeration import enumerate_connected_graphs
-from metriclab.extremal import gen_line_example
+from metriclab.extremal import gen_grid_chain, gen_line_example
 from metriclab.graphs import (
     MAX_VERTICES,
     Graph,
@@ -197,8 +197,10 @@ def test_witnesses_match_candidate_by_candidate_search():
     for k in (2, 3, 4):
         g, _ = gen_line_example(k)
         _assert_same_witnesses(distance_hypergraph_fixed_radius(g, 1))
-    # the dual 2-VC input that the benchmark pins
+    # the dual 2-VC input that the benchmark pins, and a deeper dual whose
+    # searches drop many candidates that could not reach a larger set
     _assert_same_witnesses(dual(distance_hypergraph(gen_line_example(3)[0])))
+    _assert_same_witnesses(dual(distance_hypergraph(gen_grid_chain(3)[0])))
     rng = random.Random(4242)
     for i in range(500):
         n = rng.randrange(0, 11)
@@ -259,7 +261,8 @@ def test_shatter_search_matches_oracle_and_ignores_edge_order(h, data):
 
 def test_shatter_search_node_counts(monkeypatch):
     # machine-independent regression counts: one _extensions call per node
-    # the search visits, so losing either room bound changes them on any host
+    # the search visits, so losing either room bound or the per-candidate
+    # test changes them on any host
     calls = 0
     inner = hypergraphs._extensions
 
@@ -277,10 +280,13 @@ def test_shatter_search_node_counts(monkeypatch):
         return calls
 
     g, _ = gen_line_example(3)
-    assert nodes(lambda: dual_distance_2vc(g, maxn=128)) == 1004
-    assert nodes(lambda: vc_dimension(distance_hypergraph_fixed_radius(g, 1), maxn=128)) == 93
+    assert nodes(lambda: dual_distance_2vc(g, maxn=128)) == 293
+    assert nodes(lambda: vc_dimension(distance_hypergraph_fixed_radius(g, 1), maxn=128)) == 41
     pool = list(enumerate_connected_graphs(6))
-    assert nodes(lambda: [vc_dimension(distance_hypergraph(p)) for p in pool]) == 1108
+    assert nodes(lambda: [vc_dimension(distance_hypergraph(p)) for p in pool]) == 889
+    d = dual(distance_hypergraph(gen_grid_chain(3)[0]))
+    assert nodes(lambda: vc2_dimension(d, maxn=128)) == 2237
+    assert nodes(lambda: vc_dimension(d, maxn=128)) == 421
 
 
 def test_sauer_shelah_on_random_traces():
