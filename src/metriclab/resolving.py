@@ -10,7 +10,9 @@ identical distance rows off the pair itself) are preselected up front: any
 resolving set must contain all but one of each class, and twins are
 interchangeable, so fixing the lexicographically smallest ones loses
 nothing. In a connected graph u and v are twins exactly when
-N(u) - {v} == N(v) - {u}, so the classes come from the adjacency masks.
+N(u) - {v} == N(v) - {u}: equal open neighborhoods if they are not
+adjacent, equal closed ones if they are. So the classes come from two
+dictionary passes over the adjacency masks.
 The remaining pairs go to the shared branch-and-bound engine.
 """
 
@@ -74,25 +76,18 @@ def _resolves(dist: list[list[int]], s) -> bool:
 
 def _twin_classes(g: Graph) -> list[list[int]]:
     """Group the vertices of a connected graph whose distance rows agree
-    everywhere off the pair, i.e. whose neighborhoods agree off the pair."""
-    n = g.n
-    adj = g.adj
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u in range(n):
-        for v in range(u + 1, n):
-            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
-                parent[find(u)] = find(v)
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(find(v), []).append(v)
-    return [sorted(c) for c in classes.values()]
+    everywhere off the pair, i.e. whose neighborhoods agree off the pair:
+    non-adjacent twins share their open neighborhood, adjacent twins their
+    closed one. Each class of two or more is one of these groups (a twin
+    class is an independent set or a clique), so no vertex is in two."""
+    by_open: dict[int, list[int]] = {}
+    by_closed: dict[int, list[int]] = {}
+    for v, a in enumerate(g.adj):
+        by_open.setdefault(a, []).append(v)
+        by_closed.setdefault(a | 1 << v, []).append(v)
+    classes = [c for by in (by_open, by_closed) for c in by.values() if len(c) > 1]
+    twinned = {v for c in classes for v in c}
+    return sorted(classes + [[v] for v in range(g.n) if v not in twinned])
 
 
 def _md_refusals(n: int, connected: bool, maxn: int | None) -> None:
@@ -119,19 +114,25 @@ def _metric_dimension(g: Graph, dist: list[list[int]],
     for cls in _twin_classes(g):
         preselected.extend(cls[:-1])  # all but the largest of each class
 
-    todo = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if all(dist[x][u] == dist[x][v] for x in preselected)
-    ]
+    # the pairs (u < v, lexicographic) that the preselected landmarks leave
+    # unresolved: both ends have the same distance key over them
+    keys = list(zip(*(dist[x] for x in preselected))) if preselected else [()] * n
+    same: dict[tuple[int, ...], list[int]] = {}
+    for v, k in enumerate(keys):
+        same.setdefault(k, []).append(v)
     # x separates a pair iff its ends lie in different classes of the row
     # dist[x], so x's mask is the OR over those classes of the XOR of the
     # pair bits at each class member
     pairs_at = [0] * n
-    for idx, (u, v) in enumerate(todo):
-        pairs_at[u] |= 1 << idx
-        pairs_at[v] |= 1 << idx
+    npairs = 0
+    for u in range(n):
+        later = same[keys[u]]
+        del later[0]  # u itself: the members before it are already gone
+        for v in later:
+            bit = 1 << npairs
+            pairs_at[u] |= bit
+            pairs_at[v] |= bit
+            npairs += 1
     masks = []
     for row in dist:
         classes: dict[int, int] = {}
@@ -141,7 +142,7 @@ def _metric_dimension(g: Graph, dist: list[list[int]],
         for c in classes.values():
             m |= c
         masks.append(m)
-    chosen = min_cover(len(todo), masks)
+    chosen = min_cover(npairs, masks)
     cert = _certificate(dist.__getitem__, preselected + chosen, n)
     if not cert.verified:
         raise InternalError("metric_dimension_exact: the solver returned a non-resolving set")

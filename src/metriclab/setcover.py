@@ -9,13 +9,16 @@ every node two lower bounds on the candidates still needed, the cheaper
 first:
 
 * Packing bound: uncovered elements no two of which share a candidate need
-  one candidate each. The universe is relabelled once so that bit p is the
-  p-th element of the branching order (fewest candidates first, then
-  index), and each element's conflict mask (every element sharing a
-  candidate with it) is built the first time the packing reaches it. The
-  greedy packing is then "take the lowest uncovered bit, count it, clear
-  its conflict mask": one step per packed element, not a scan of the
-  universe.
+  one candidate each. The branching order is fewest candidates first, then
+  element index. The counts come from adding the kept masks bit-sliced,
+  and they split the universe into one element mask per count, ascending;
+  inside a mask, ascending bits are ascending indices. So the first
+  uncovered element is the lowest bit of the first group that still has
+  one. Each element's candidate list and conflict mask (every element
+  sharing a candidate with it) are built the first time the search reaches
+  it. The greedy packing walks the groups in order: "take the first
+  uncovered element, count it, clear its conflict mask", one step per
+  packed element, not a scan of the universe.
 * Caller's bound: the optional ``lower_bound`` hook lets a caller that
   knows the structure behind the masks bound the rest of the search.
   ``min_test_cover`` supplies the test-set split bound: a group of c items
@@ -38,11 +41,9 @@ deterministic and certificates reproducible.
 from __future__ import annotations
 
 from collections.abc import Callable
-from operator import itemgetter
 from typing import Any
 
 from .errors import DomainError
-from .graphs import iter_bits
 
 
 def greedy_cover(universe_size: int, masks: list[int]) -> list[int]:
@@ -103,41 +104,64 @@ def min_cover(
             kept.append(i)
     kmasks = [masks[i] for i in kept]
 
-    # per-constraint candidate sets (bitmask over positions in kept): the
-    # transpose of the kept masks, read off their binary strings column by
-    # column, most significant first
-    rows = [format(m, f"0{universe_size}b") for m in reversed(kmasks)]
-    cands = [int("".join(col), 2) for col in zip(*rows)] if rows else [0] * universe_size
-    cands.reverse()
-    for e in range(universe_size):
-        if cands[e] == 0:
-            raise DomainError(f"constraint {e} is not coverable")
+    union = 0
+    for m in kmasks:
+        union |= m
+    if union != full:
+        missing = full & ~union
+        raise DomainError(f"constraint {(missing & -missing).bit_length() - 1} is not coverable")
 
-    elem_order = sorted(range(universe_size), key=lambda e: (cands[e].bit_count(), e))
+    # each element's candidate count, bit-sliced: digits[j] holds the
+    # elements whose count has bit j set, and each kept mask is added to
+    # the counter along one carry chain
+    digits: list[int] = []
+    for m in kmasks:
+        for j, d in enumerate(digits):
+            digits[j] = d ^ m
+            m &= d
+            if not m:
+                break
+        else:
+            digits.append(m)
+    # one element mask per count, ascending: splitting on the most
+    # significant digit first keeps the lower counts in front
+    groups = [full]
+    for d in reversed(digits):
+        groups = [h for g in groups for h in (g & ~d, g & d) if h]
+
     best = greedy_cover(universe_size, kmasks)
+    # per element, built on first use: its candidates (positions in kept,
+    # ascending) and its conflict mask (every element sharing a candidate
+    # with it, itself included, so never 0 once built)
+    cands: list[list[int]] = [[]] * universe_size
+    conflict = [0] * universe_size
 
-    # relabel: bit p is element elem_order[p], so the lowest uncovered bit
-    # is the first uncovered element in branching order
-    rcands = [cands[e] for e in elem_order]
-    pick = itemgetter(*[universe_size - 1 - e for e in reversed(elem_order)])
-    rmasks = [int("".join(pick(row)), 2) for row in reversed(rows)]
-    conflict = [0] * universe_size  # built on first use; never 0 once built
-
-    def packing_reaches(free: int, room: int) -> bool:
-        """Whether the greedy disjoint packing of ``free`` has >= room elements."""
+    def packing(free: int, room: int) -> int:
+        """The first element of ``free`` in branching order, or -1 when the
+        greedy disjoint packing of ``free`` has >= room elements."""
+        head = -1
         count = 0
-        while free:
-            p = (free & -free).bit_length() - 1
-            c = conflict[p]
-            if not c:
-                for pos in iter_bits(rcands[p]):
-                    c |= rmasks[pos]
-                conflict[p] = c
-            free &= ~c
-            count += 1
-            if count >= room:
-                return True
-        return False
+        for g in groups:
+            f = free & g
+            while f:
+                e = (f & -f).bit_length() - 1
+                c = conflict[e]
+                if not c:
+                    bit = 1 << e
+                    cands[e] = [i for i, m in enumerate(kmasks) if m & bit]
+                    for i in cands[e]:
+                        c |= kmasks[i]
+                    conflict[e] = c
+                if head < 0:
+                    head = e
+                count += 1
+                if count >= room:
+                    return -1
+                free &= ~c
+                f &= ~c
+            if not free:
+                break
+        return head
 
     chosen: list[int] = []
 
@@ -149,20 +173,17 @@ def min_cover(
             return
         room = len(best) - len(chosen)
         free = full & ~cov
-        if packing_reaches(free, room):
+        branch = packing(free, room)
+        if branch < 0:
             return
         if lower_bound is not None and chosen:
             state, bound = lower_bound(state, kept[chosen[-1]])
             if bound >= room:
                 return
-        branch = (free & -free).bit_length() - 1
-        order = sorted(
-            iter_bits(rcands[branch]),
-            key=lambda i: (-(rmasks[i] & free).bit_count(), i),
-        )
-        for i in order:
+        # gain descending; the sort is stable, so ties stay in index order
+        for i in sorted(cands[branch], key=lambda i: -(kmasks[i] & free).bit_count()):
             chosen.append(i)
-            dfs(cov | rmasks[i], state)
+            dfs(cov | kmasks[i], state)
             chosen.pop()
 
     dfs(0, None)

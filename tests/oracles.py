@@ -302,6 +302,30 @@ def twin_classes_by_rows(g):
     return set(twins.values())
 
 
+def reference_twin_classes(g):
+    """The twin classes by union-find over every vertex pair, as the solver
+    once built them: u and v join when N(u) - {v} == N(v) - {u}. Classes
+    come sorted, in the order of their smallest vertex."""
+    n = g.n
+    adj = g.adj
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u in range(n):
+        for v in range(u + 1, n):
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                parent[find(u)] = find(v)
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(find(v), []).append(v)
+    return [sorted(c) for c in classes.values()]
+
+
 def resolving_vectors(g, s):
     """Distance vector of every vertex to the sorted landmarks, from fw_distances."""
     dist = fw_distances(g)

@@ -289,6 +289,28 @@ def test_twin_classes_match_the_distance_row_definition():
         assert got == oracles.twin_classes_by_rows(g)
 
 
+def test_twin_classes_match_the_pairwise_union_find():
+    # the two neighborhood dictionaries give the union-find's classes, list
+    # for list, also where whole classes are twins
+    rng = random.Random(4242)
+    graphs = list(enumerate_connected_graphs(7))
+    graphs += [complete_graph(n) for n in range(1, 9)]
+    graphs += [star_graph(k) for k in range(1, 9)]
+    graphs += [complete_bipartite(a, b) for a in range(1, 5) for b in range(1, 5)]
+    for _ in range(200):
+        n = rng.randrange(9, 19)
+        graphs.append(oracles.random_connected_graph(rng, n, rng.choice((0.0, 0.1, 0.3, 0.6, 0.9))))
+    for g in list(graphs):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(g.relabeled(perm))
+    for g in graphs:
+        assert resolving._twin_classes(g) == oracles.reference_twin_classes(g)
+    assert resolving._twin_classes(complete_graph(5)) == [[0, 1, 2, 3, 4]]
+    assert resolving._twin_classes(star_graph(3)) == [[0], [1, 2, 3]]
+    assert resolving._twin_classes(complete_bipartite(2, 3)) == [[0, 1], [2, 3, 4]]
+
+
 def test_tree_formula_matches_exact_solver():
     rng = random.Random(90210)
     for _ in range(60):

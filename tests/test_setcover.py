@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metriclab import hypergraphs, resolving
+from metriclab import harness, hypergraphs, resolving
 from metriclab.enumeration import enumerate_connected_graphs
 from metriclab.errors import DomainError
-from metriclab.extremal import gen_o
+from metriclab.extremal import gen_grid_chain, gen_line_example, gen_o
 from metriclab.hypergraphs import distance_hypergraph, min_test_cover
 from metriclab.resolving import metric_dimension_exact
 from metriclab.setcover import greedy_cover, min_cover
@@ -43,8 +43,11 @@ def test_mask_bits_above_the_universe_are_ignored():
 
 
 def test_infeasible_raises():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^constraint 2 is not coverable$"):
         min_cover(3, [0b011])
+    # a bit above the universe covers nothing
+    with pytest.raises(DomainError, match="^constraint 1 is not coverable$"):
+        min_cover(3, [0b1101, 0b100])
     with pytest.raises(DomainError):
         min_cover(2, [])
     with pytest.raises(DomainError):
@@ -123,9 +126,10 @@ def test_matches_reference_engine_on_random_instances():
         ]
         try:
             want = oracles.reference_min_cover(u, masks)
-        except DomainError:
-            with pytest.raises(DomainError):
+        except DomainError as refusal:
+            with pytest.raises(DomainError) as got:
                 min_cover(u, masks)
+            assert str(got.value) == str(refusal)
             continue
         assert min_cover(u, masks) == want
         solved += 1
@@ -176,3 +180,60 @@ def test_solvers_match_reference_engine_on_outerplanar_family(checked_engine):
     for g in members:
         solve_md_and_tc(g)
     assert len(members) == 18 and max(checked_engine) == 190
+
+
+def test_md_matches_reference_engine_on_the_generator_suites(checked_engine):
+    # universes of up to 6670 pairs: every distinct graph whose md
+    # extremal_specs measures, and every grid_chain and line_example member
+    # at its default sweep
+    harness.run_suite("extremal_specs")
+    specs = len(checked_engine)
+    members = [gen_grid_chain(t)[0] for t in (2, 3, 4)]
+    members += [gen_line_example(k)[0] for k in (2, 3, 4, 5)]
+    for g in members:
+        metric_dimension_exact(g, maxn=harness.SOLVER_CAP)
+    assert specs == 56 and max(checked_engine) == 6670
+
+
+def test_search_tree_node_counts(monkeypatch):
+    # a hook that never prunes is called once per node that the packing
+    # bound lets through below the root, so its call count pins the search
+    # tree and the packing bound; the split-bound calls pin the test-cover
+    # search as it runs. A lost or weakened bound moves a count.
+    instances = []
+
+    def capture(universe_size, masks, lower_bound=None):
+        instances.append((universe_size, masks))
+        return min_cover(universe_size, masks, lower_bound)
+
+    splits = 0
+    split_bound = hypergraphs._split_bound
+
+    def counted_split_bound(h):
+        refine = split_bound(h)
+
+        def counted(state, i):
+            nonlocal splits
+            splits += 1
+            return refine(state, i)
+
+        return counted
+
+    monkeypatch.setattr(resolving, "min_cover", capture)
+    monkeypatch.setattr(hypergraphs, "min_cover", capture)
+    monkeypatch.setattr(hypergraphs, "_split_bound", counted_split_bound)
+    graphs = list(enumerate_connected_graphs(6)) + [gen_grid_chain(3)[0]]
+    for g in graphs:
+        solve_md_and_tc(g)
+    assert len(instances) == 2 * 144
+
+    nodes = 0
+
+    def never_prunes(state, i):
+        nonlocal nodes
+        nodes += 1
+        return None, 0
+
+    for universe_size, masks in instances:
+        min_cover(universe_size, masks, never_prunes)
+    assert (nodes, splits) == (184883, 18975)
