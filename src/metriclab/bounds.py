@@ -110,6 +110,9 @@ _REGISTRY = {
     "md_vcdim": (bound_md_vcdim, ("d", "k", "dvcstar"), "exact"),
 }
 
+# every parameter name of a bound, in first-use order
+BOUND_PARAMS = tuple(dict.fromkeys(p for _, params, _ in _REGISTRY.values() for p in params))
+
 
 def bound_names() -> list[str]:
     return sorted(_REGISTRY)

@@ -211,22 +211,12 @@ def _cmd_td(args) -> tuple[str, int]:
 # bound / verify
 
 
-_BOUND_PARAMS = ("d", "k", "w", "l", "t", "r", "tc", "vcstar", "dvcstar")
-
-
 def _cmd_bound(args) -> tuple[str, int]:
-    from .bounds import evaluate_bound
+    from .bounds import BOUND_PARAMS, evaluate_bound
 
-    params = {p: getattr(args, p) for p in _BOUND_PARAMS if getattr(args, p) is not None}
-    value = evaluate_bound(args.name, **params)
-    doc = {
-        "schema": 1,
-        "name": value.name,
-        "params": value.params,
-        "value": value.value,
-        "form": value.form,
-    }
-    return _json_line(doc), 0
+    params = {p: getattr(args, p) for p in BOUND_PARAMS if getattr(args, p) is not None}
+    # the document's keys are BoundValue's fields, sorted as every JSON line is
+    return _json_line({"schema": 1, **evaluate_bound(args.name, **params)._asdict()}), 0
 
 
 def _cmd_verify(args) -> tuple[str, int]:
@@ -339,10 +329,10 @@ def _td_args(td) -> None:
 
 
 def _bound_args(bound) -> None:
-    from .bounds import bound_names
+    from .bounds import BOUND_PARAMS, bound_names
 
     bound.add_argument("name", choices=bound_names())
-    for p_name in _BOUND_PARAMS:
+    for p_name in BOUND_PARAMS:
         bound.add_argument(f"--{p_name}", type=int)
 
 
@@ -385,6 +375,10 @@ def build_parser(verb: str | None) -> argparse.ArgumentParser:
     return parser
 
 
+# error type -> exit code (see the module docstring)
+_EXIT_CODES = {FormatError: 2, DomainError: 2, OSError: 2, TooLargeError: 3, InternalError: 4}
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -396,18 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         text, code = _VERBS[args.verb][2](args)
-    except (FormatError, DomainError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InternalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     sys.stdout.write(text)
     return code
 

@@ -44,9 +44,11 @@ isomorphism class is kept, so the output is fixed by that order.
   bucket is empty is kept with no search. Otherwise it is prepared once
   (its search order) and tried by the exhaustive map search against each
   member's prepared record (its colors and color classes), and dropped
-  when one map exists. The records live only as long as the scan of their
-  level; the level cache keeps the graphs. The same scan refuses
-  isomorphic duplicates in a graph6 corpus (``harness``).
+  when one map exists. The key only spares searches: the map search is
+  exact and itself refuses records whose classes differ in size, so even
+  a constant key gives the same output. The records live only as long as
+  the scan of their level; the level cache keeps the graphs. The same
+  scan refuses isomorphic duplicates in a graph6 corpus (``harness``).
 
 Both streams are deterministic run to run and cached per order, because the
 check suites replay them many times in one process. The caches hold the

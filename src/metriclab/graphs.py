@@ -528,12 +528,15 @@ def _color_preserving_map(g: tuple, h: tuple) -> bool:
 
 def _color_preserving_maps(g: tuple, h: tuple):
     """Backtracking search for every isomorphism g -> h that keeps the
-    refined colors, each as the list image[v]. g and h are ``_prepared``
-    records, g with its search order, whose color multisets agree. One list
-    is updated in place and yielded each time, so copy it to keep a map.
-    With h = g these are the automorphisms of g."""
-    gadj, gcolors, _, order = g
+    refined colors, each as the list image[v], from ``_prepared`` records (g
+    with its search order). None exists unless the color classes agree in
+    size, whatever key paired the two. One list is updated in place and
+    yielded each time, so copy it to keep a map. With h = g these are the
+    automorphisms of g."""
+    gadj, gcolors, gby_color, order = g
     hadj, _, by_color, _ = h
+    if list(map(len, gby_color)) != list(map(len, by_color)):
+        return iter(())
     n = len(gadj)
     image = [-1] * n
 

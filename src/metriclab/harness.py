@@ -29,22 +29,27 @@ per process and share it through the pool: each pool entry is a graph with
 its record. A pool is built once per process, so a later run_suite call
 over the same corpus text gets the same graphs with the same records, and
 a corpus pool starts with the entries of the built-in n <= 7 pool. A graph
-is encoded to graph6 only where a report prints its name. Each measurement
-is declared once, as one entry of ``_MEASURES``, and a record has one slot per
-entry; a suite reads it as an attribute of the graph's ``_Instance``. Each
-measurement is taken on first use and stored only once the solver has
-returned, that is after its own certificate check, so a failing check
-raises and leaves nothing behind. A suite builds a graph's distance matrix
-and decomposition at most once and drops both when it moves to the next
-graph; the diameter, md, length and the ball hypergraph all read that one
-matrix. The ball hypergraph is the one structure kept across suites: it
-stays on the record from the suite that builds it until tc, dvc, vc* and
-d2vc are all taken, and goes then, so a record of a graph that every suite
-has seen holds scalars only. A graph whose matrix is built a second time
-while a ball measurement is missing gets its ball hypergraph from that
-matrix at once, so in either suite order no graph needs a third matrix.
-vc* and d2vc each take the dual of the kept hypergraph afresh; neither the
-matrix nor the dual is kept. Width and length are read off the
+is encoded to graph6 only where a report prints its name. Each measurement,
+the K_t minor verdict of thm14_minor (t = min(d2vc, 5)) included, is one
+entry of ``_MEASURES``, and a record has one slot per entry; a suite reads
+it as an attribute of the graph's ``_Instance``. Each measurement is taken
+on first use and stored only once the solver has returned, that is after
+its own certificate check, so a failing check raises and leaves nothing
+behind. A suite builds a graph's distance matrix at most once and drops it
+when it moves to the next graph; the diameter, md, length and the ball
+hypergraph all read that one matrix. The ball hypergraph is the one
+structure kept across suites: it stays on the record from the suite that
+builds it until tc, dvc, vc* and d2vc are all taken, and goes then, so a
+record of a graph that every suite has seen holds scalars only. A graph
+whose matrix is built a second time while a ball measurement is missing
+gets its ball hypergraph from that matrix at once, so in either suite
+order no graph needs a third matrix. vc* and d2vc each take the dual of
+the kept hypergraph afresh; neither the matrix nor the dual is kept. One
+engine, ``treewidth_exact``, gives every decomposition; the first read of
+width or length builds it and stores both numbers, so no later suite
+builds it again. A chordal graph peels away one simplicial vertex at a
+time (Dirac 1961), so its bags are cliques and the numbers are a clique
+tree's (width omega - 1, length at most 1). Both are read off the
 decomposition as built, not reduced: the bound is stated for a reduced
 decomposition, but absorbing a bag into a neighbour that contains it keeps
 both numbers. The tree suites measure their instances directly and make
@@ -103,7 +108,7 @@ from .resolving import (
     _resolves,
     tree_metric_dimension,
 )
-from .treedec import _length, clique_tree, treewidth_exact, width
+from .treedec import _length, treewidth_exact
 
 # One cap for every solver call made from a suite. Generated instances top
 # out at 116 vertices (line example, k=5), enumerated pools far lower.
@@ -221,8 +226,9 @@ _MEASURES = {
     "d2vc": lambda inst: _dual_2vc(dual(inst.balls()), maxn=SOLVER_CAP),
     "chordal": lambda inst: is_chordal(inst.g),
     "outerplanar": lambda inst: is_outerplanar(inst.g),
-    "width": lambda inst: width(inst.decomposition()),
-    "length": lambda inst: _length(inst.decomposition(), inst.dist()),
+    "width": lambda inst: inst.decomposition()[0],
+    "length": lambda inst: inst.decomposition()[1],
+    "minor": lambda inst: has_clique_minor(inst.g, min(inst.d2vc, 5)),
 }
 
 # the measurements read off the ball hypergraph
@@ -252,17 +258,16 @@ def _clear_instances() -> None:
 
 class _Instance:
     """One graph as one suite reads it: the graph, its record (from the pool
-    entry, or fresh for a generated graph), and its distance matrix and
-    decomposition, built at most once and only when a missing measurement
-    needs them. Take a fresh one per graph (see
-    ``_instances``) so that those two go when the suite moves on. Every
-    name in ``_MEASURES`` reads as an attribute, taken and stored in the
-    record on first use."""
+    entry, or fresh for a generated graph), and its distance matrix, built
+    at most once and only when a missing measurement needs it. Take a fresh
+    one per graph (see ``_instances``) so that the matrix goes when the
+    suite moves on. Every name in ``_MEASURES`` reads as an attribute, taken
+    and stored in the record on first use."""
 
-    __slots__ = ("g", "rec", "_dist", "_td")
+    __slots__ = ("g", "rec", "_dist")
 
     def __init__(self, rec: _Record, g: Graph) -> None:
-        self.g, self.rec, self._dist, self._td = g, rec, None, None
+        self.g, self.rec, self._dist = g, rec, None
 
     def __getattr__(self, name: str):
         take = _MEASURES.get(name)
@@ -299,11 +304,14 @@ class _Instance:
                 rec.balls = _distance_hypergraph(dist)
         return rec.balls
 
-    def decomposition(self):
-        """Clique tree when chordal, else an exact-treewidth decomposition."""
-        if self._td is None:
-            self._td = clique_tree(self.g) if self.chordal else treewidth_exact(self.g)[1]
-        return self._td
+    def decomposition(self) -> tuple[int, int]:
+        """Width and length of an exact-treewidth decomposition, both stored
+        on the record when it is built, so it is built once per graph."""
+        rec = self.rec
+        if rec.width is None:
+            w, td = treewidth_exact(self.g)
+            rec.width, rec.length = w, _length(td, self.dist())
+        return rec.width, rec.length
 
 
 def _instances(pool: list[tuple[_Record, Graph]]):
@@ -604,10 +612,8 @@ def _suite_thm14_minor(checks, pool):
     for inst in _instances(pool):
         t = inst.d2vc
         hist[t] = hist.get(t, 0) + 1
-        t_cap = min(t, 5)
         claim = "dual 2-vc forces a clique minor"
-        holds = has_clique_minor(inst.g, t_cap)
-        checks.claim(holds, inst.g, claim, f"no K_{t_cap} minor", f"d2vc={t}")
+        checks.claim(inst.minor, inst.g, claim, f"no K_{min(t, 5)} minor", f"d2vc={t}")
     extras = {"d2vc_histogram": {str(v): hist[v] for v in sorted(hist)}}
     return len(pool), {"clique_order_cap": 5}, extras
 
@@ -655,8 +661,9 @@ def _suite_treedec_bound(checks, pool):
         witness = f"d={d} k={k} w={w} len={ell}"
         checks.claim(n <= b, g, "n <= decomposition bound", n, b, witness)
         checks.ratio(g, n, b)
-    # "reduced" names the decomposition the bound is stated for; reducing
-    # keeps w and the length, so both are read off the unreduced one
+    # the string names the decomposition the bound is stated for: reducing
+    # keeps w and the length, and on a chordal graph the peel decomposition
+    # has the clique tree's width (omega - 1) and length (1)
     fields = {"decomposition": "clique tree when chordal, else exact treewidth, reduced"}
     return len(pool), fields, {"chordal_instances": chordal_count, **checks.max_ratio()}
 
@@ -668,7 +675,7 @@ def _suite_chordal_obs(checks, pool):
         if not inst.chordal:
             continue
         chordal_count += 1
-        w = inst.width  # of the clique tree
+        w = inst.width  # the clique tree's: both are omega - 1 on a chordal graph
         k = inst.md
         max_w = max(max_w, w)
         checks.claim(w <= 3**k, inst.g, "treewidth <= 3^md", w, 3**k, f"k={k}")

@@ -6,13 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from metriclab import enumeration
+from metriclab import enumeration, harness
 from metriclab.enumeration import (
     enumerate_connected_graphs,
     enumerate_trees,
     free_tree_key,
 )
-from metriclab.errors import DomainError, TooLargeError
+from metriclab.errors import DomainError, FormatError, TooLargeError
 from metriclab.graphs import (
     Graph,
     _color_preserving_maps,
@@ -222,6 +222,25 @@ def test_bucket_key_splits_the_pinned_number_of_classes():
     # the 996 graphs (the old key of n, m, degrees, class sizes and
     # triangles gave 890)
     assert len({iso_invariant(g) for g in enumerate_connected_graphs(7)}) == 976
+
+
+def test_exactness_does_not_rest_on_the_bucket_key(monkeypatch):
+    # with one bucket for every graph, the map search alone tells classes
+    # apart: graphs whose color classes differ in size get no map
+    first_c = [to_graph6(g) for g in enumerate_connected_graphs(6)]
+    saved_c = dict(enumeration._conn_cache)
+    monkeypatch.setattr(enumeration, "_invariant", lambda colors, quotient: ())
+    try:
+        enumeration._conn_cache.clear()
+        assert [to_graph6(g) for g in enumerate_connected_graphs(6)] == first_c
+    finally:
+        enumeration._conn_cache.clear()
+        enumeration._conn_cache.update(saved_c)
+    lines = CORPUS.read_text().splitlines()[:30]
+    for text, dup in (("GqGOOG\nGQGOOK\n", 2), ("\n".join(lines + ["GQGOOK"]), 31)):
+        with pytest.raises(FormatError) as err:
+            harness._corpus_levels("iso.g6", text, 8)
+        assert str(err.value) == f"iso.g6:{dup}: duplicate graph, isomorphic to line 1"
 
 
 def test_connected_levels_are_sorted_by_graph6():

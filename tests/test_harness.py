@@ -10,13 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from metriclab import harness
+from metriclab import harness, treedec
 from metriclab.errors import DomainError, FormatError, TooLargeError
-from metriclab.graphs import Graph, is_chordal, to_graph6
+from metriclab.graphs import Graph, to_graph6
 from metriclab.harness import Failure, SuiteReport, run_suite, suite_names
 from metriclab.hypergraphs import dual_distance_2vc
 from metriclab.resolving import metric_dimension_exact
-from metriclab.treedec import clique_tree, length, treewidth_exact
+from metriclab.treedec import length, treewidth_exact, width
 
 import oracles
 
@@ -137,8 +137,17 @@ def test_instance_table_measures_each_graph_once(tmp_path, monkeypatch):
         held.append(g)  # a live object's id is never reused
         return id(g)
 
-    for name in ("_metric_dimension", "treewidth_exact", "all_distances"):
+    # the measurements asked of pool graphs only
+    pool_measures = ("treewidth_exact", "has_clique_minor", "is_chordal", "is_outerplanar")
+    for name in (*pool_measures, "_metric_dimension", "all_distances"):
         count(name, graph_key)
+
+    def no_clique_tree(g):
+        raise AssertionError("the harness builds no clique tree")
+
+    # one decomposition engine: the harness neither imports nor calls it
+    assert not hasattr(harness, "clique_tree")
+    monkeypatch.setattr(treedec, "clique_tree", no_clique_tree)
     # a test cover is solved on the ball hypergraph and d2vc on its dual,
     # each named by its edges; a ball hypergraph is named by its matrix
     count("min_test_cover", hyper_key)
@@ -151,9 +160,11 @@ def test_instance_table_measures_each_graph_once(tmp_path, monkeypatch):
             r = run_suite(name, nmax=8, corpus=shard)
             assert canonical(golden_doc(r)) == canonical(frozen[name]), (order[0], name)
         pool = harness._connected_pool(8, shard)  # the one the suites read
-        assert set(calls) == {"_metric_dimension", "_dual_2vc", "treewidth_exact",
+        assert set(calls) == {*pool_measures, "_metric_dimension", "_dual_2vc",
                               "min_test_cover", "all_distances", "_distance_hypergraph"}
-        for name in ("_metric_dimension", "_dual_2vc", "treewidth_exact", "min_test_cover"):
+        for name in pool_measures:
+            assert set(calls[name]) <= {id(g) for _, g in pool}, (order[0], name)
+        for name in (*pool_measures, "_metric_dimension", "_dual_2vc", "min_test_cover"):
             assert max(calls[name].values()) == 1, (order[0], name)
         assert sum(calls["min_test_cover"].values()) <= len(pool)
         # one ball hypergraph per pool graph and none for the generated
@@ -165,6 +176,26 @@ def test_instance_table_measures_each_graph_once(tmp_path, monkeypatch):
         for rec, _ in pool:
             for slot in rec.__slots__:
                 assert type(getattr(rec, slot)) in (int, bool, str, type(None)), slot
+
+
+def test_minor_verdict_is_taken_once_per_graph(monkeypatch):
+    # the K_t minor verdict is a measurement like any other: a second run of
+    # thm14_minor in the same process reads it off the records
+    calls = Counter()
+    solver = harness.has_clique_minor
+
+    def counted(g, t):
+        calls[id(g)] += 1
+        return solver(g, t)
+
+    monkeypatch.setattr(harness, "has_clique_minor", counted)
+    harness._clear_instances()
+    first = run_suite("thm14_minor", nmax=6)
+    second = run_suite("thm14_minor", nmax=6)
+    assert canonical(golden_doc(first)) == canonical(golden_doc(second))
+    pool = harness._connected_pool(6, None)
+    assert len(pool) == 143 and first.passed
+    assert calls == Counter(id(g) for _, g in pool)
 
 
 def test_generator_suites_take_one_matrix_per_member(monkeypatch):
@@ -217,8 +248,8 @@ def test_shared_structures_match_the_public_solvers():
         assert inst.md == metric_dimension_exact(h).dimension == metric_dimension_exact(g).dimension
         assert inst.d2vc == dual_distance_2vc(h) == dual_distance_2vc(g)
         # the length is the decomposition's, which depends on the labels
-        td = clique_tree(h) if is_chordal(h) else treewidth_exact(h)[1]
-        assert inst.length == length(td)
+        td = treewidth_exact(h)[1]
+        assert (inst.width, inst.length) == (width(td), length(td))
 
 
 def test_report_names_only_a_corpus_it_read(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from metriclab.graphs import (
     diameter,
     grid_graph,
     is_chordal,
+    parse_graph6,
     path_graph,
     star_graph,
     to_graph6,
@@ -227,7 +229,7 @@ def test_reduce_preserves_width_and_length():
     graphs = list(enumerate_connected_graphs(7))
     assert len(graphs) == 996
     for g in graphs:
-        td = clique_tree(g) if is_chordal(g) else treewidth_exact(g)[1]
+        td = treewidth_exact(g)[1]
         red = reduce(td)
         assert width(red) == width(td) and length(red) == length(td), to_graph6(g)
 
@@ -256,6 +258,21 @@ def test_clique_tree_random_chordal():
         if len(td.bags) >= 2:
             ok, witness = nonleaf_bags_are_cutsets(td)
             assert ok and witness is None
+
+
+def test_clique_tree_and_peel_decomposition_agree_on_chordal_graphs():
+    # a chordal graph peels away one simplicial vertex at a time, so every
+    # bag of the exact-treewidth decomposition is a clique: same width
+    # (omega - 1) and length (at most 1) as the clique tree
+    corpus = (Path(__file__).parent / "data" / "connected8.g6").read_text().split()
+    graphs = [g for g in enumerate_connected_graphs(7) if is_chordal(g)]
+    graphs += [g for g in map(parse_graph6, corpus) if is_chordal(g)]
+    assert len(graphs) == 1968  # per order: 1, 1, 2, 5, 15, 58, 272, 1614
+    rng = random.Random(24)
+    graphs += [random_chordal(rng, rng.randint(5, 40)) for _ in range(50)]
+    for g in graphs:
+        ct, (tw, td) = clique_tree(g), treewidth_exact(g)
+        assert (width(ct), length(ct)) == (tw, length(td)), to_graph6(g)
 
 
 def test_treewidth_families():
