@@ -1,23 +1,50 @@
 """Generation of all small trees and connected graphs up to isomorphism.
 
-Free trees come from the rooted level-sequence successor of Beyer and
-Hedetniemi ("Constant time generation of rooted trees", SIAM J. Comput.
-1980). Each sequence it yields is already the greatest level sequence of
-its tree at its own root. A free tree is emitted once, as the greatest
-sequence over its center rootings, and the two tallest root branches,
-h1 >= h2 (0 for a missing branch), decide most sequences in O(n):
+Free trees are level sequences (vertex depths in preorder) in the
+decreasing order of the rooted-tree successor of Beyer and Hedetniemi
+("Constant time generation of rooted trees", SIAM J. Comput. 1980), each
+the greatest sequence of its rooted tree. A free tree is emitted once, as
+the greatest sequence over its center rootings. Root branches come tallest
+first; with h1 >= h2 the heights of the first branch and of the tallest
+other one (0 if absent), a sequence is decided in O(n), with no tree:
 
-- h1 - h2 >= 2: the first vertex of the tallest branch has eccentricity
-  at most max(h1 - 1, h2 + 1) < h1, so the root is not a center. A
-  non-center rooting never equals a center rooting (an isomorphism of
-  rooted trees would map the root to a center), so the sequence is
-  rejected.
-- h1 == h2: the diameter is 2 * h1 and the root is its midpoint, the only
-  center, so the sequence is the free canonical form and is kept.
-- h1 == h2 + 1: the root and the first vertex of its tallest branch are
-  the two centers. The root's rooting is the sequence itself, so it is
-  kept only if no smaller than the canonical sequence rooted at the other
-  center (one canonisation, not a leaf stripping and two).
+- h1 - h2 >= 2: the first vertex of the first branch has eccentricity at
+  most max(h1 - 1, h2 + 1) < h1, so the root is not a center, and a
+  non-center rooting never equals a center rooting: rejected.
+- h1 == h2: the root is the midpoint of every longest path: kept.
+- h1 == h2 + 1: the root and c, the first vertex of the first branch, are
+  the centers. At c the old root heads a branch of height h1, taller than
+  c's own, so c's sequence is [0, 1] + [y + 1 for y in rest] +
+  [x - 1 for x in first[1:]] (first: the first branch; rest: the branches
+  after it). Both start with [0, 1]; the root's sequence is kept unless
+  its remainder is the smaller.
+
+The generator skips rejected sequences in blocks, as the free-tree
+generator of Wright, Richmond, Odlyzko and McKay ("Constant time
+generation of free trees", SIAM J. Comput. 1986) does, and visits only
+sequences whose rest has at least h1 - 1 vertices:
+
+- Start: a first branch taller than h = n // 2 leaves its rest fewer than
+  the h vertices that height h needs, so the greatest candidate is
+  [0, 1..h, h x (n - 2h), 1..h-1].
+- Jump: the sequences that share a first branch are consecutive, and along
+  them h2 never rises (a taller second branch is lexicographically
+  greater). So from the first with h1 - h2 >= 2 on, all are rejected, and
+  the successor taken at the first branch's last position is the greatest
+  sequence below them. At depth 2 that position starts the second branch:
+  the first branch shrinks and the rest grows.
+- Tail reset: at a depth > 2 the successor fills the tail with copies from
+  the first branch, which leave the root a leaf (never a center for n >= 3)
+  and add no height. The rest it overwrote had at least h1 - 1 >= h - 1
+  vertices, h the new branch's height, so height h is reached before the
+  last h - 1 entries; set those to the path 1..h-1. A sequence in between
+  shares the part before them, so it leaves the rest at most h - 1
+  vertices, of height h - 1 only as that path: only rejected sequences are
+  skipped. WROM reset to height h, since their tie-break keeps the other
+  rooting of a bicentral tree; keeping the greatest, the least valid rest
+  has height h - 1.
+
+The output is the filtered scan of every rooted sequence, graph for graph.
 
 Connected graphs are built level by level: every connected graph on
 n >= 2 vertices has a non-cut vertex, so attaching one new vertex to every
@@ -78,15 +105,14 @@ from .graphs import (
 # parent of position i is the nearest j < i with L[j] == L[i] - 1.
 
 
-def _successor(seq: list[int]) -> list[int] | None:
-    """Next rooted level sequence in decreasing lexicographic order."""
-    p = -1
-    for i in range(len(seq) - 1, 0, -1):
-        if seq[i] >= 2:
-            p = i
-            break
-    if p < 0:
-        return None
+def _successor(seq: list[int], p: int = 0) -> list[int] | None:
+    """Next rooted level sequence in decreasing lexicographic order; given
+    a position p with depth >= 2, the next one after every sequence that
+    starts with seq[:p + 1]."""
+    if not p:
+        p = next((i for i in range(len(seq) - 1, 0, -1) if seq[i] >= 2), 0)
+        if not p:
+            return None
     q = p - 1
     while seq[q] != seq[p] - 1:
         q -= 1
@@ -94,26 +120,6 @@ def _successor(seq: list[int]) -> list[int] | None:
     for i in range(p, len(seq)):
         nxt.append(nxt[i - (p - q)])
     return nxt
-
-
-def _rooted_level_sequences(n: int) -> Iterator[list[int]]:
-    """All rooted trees on n vertices, one canonical sequence each."""
-    seq: list[int] | None = list(range(n))
-    while seq is not None:
-        yield seq
-        seq = _successor(seq)
-
-
-def _adjacency_from_sequence(seq: list[int]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in seq]
-    stack: list[int] = []
-    for i, depth in enumerate(seq):
-        del stack[depth:]
-        if stack:
-            adj[stack[-1]].append(i)
-            adj[i].append(stack[-1])
-        stack.append(i)
-    return adj
 
 
 def _centers(adj: list[list[int]]) -> list[int]:
@@ -169,43 +175,37 @@ def free_tree_key(g: Graph) -> tuple[int, ...]:
 _tree_cache: dict[int, list[Graph]] = {}
 
 
-def _root_branch_heights(seq: list[int]) -> tuple[int, int, int]:
-    """The two tallest branch heights at the root, h1 >= h2 (0 if absent),
-    and the position c of the first vertex of the first branch of height h1
-    (0 for the one-vertex tree)."""
-    h1 = h2 = top = c = start = 0
-    for i in range(1, len(seq)):
-        depth = seq[i]
-        if depth == 1:
-            # a new branch starts: fold the finished one into h1, h2
-            if top > h1:
-                h1, h2, c = top, h1, start
-            elif top > h2:
-                h2 = top
-            top, start = 1, i
-        elif depth > top:
-            top = depth
-    if top > h1:
-        return top, h1, start
-    return h1, max(h2, top), c
+def _tree_from_sequence(seq: list[int]) -> Graph:
+    g = Graph(len(seq))
+    adj = g.adj
+    last = [0] * len(seq)  # the latest vertex seen at each depth
+    for v in range(1, len(seq)):
+        parent = last[seq[v] - 1]
+        adj[v] = 1 << parent
+        adj[parent] |= 1 << v
+        last[seq[v]] = v
+    return g
 
 
 def _free_trees_exact(n: int) -> list[Graph]:
+    # the start, the three cases, the jump and the reset: see the docstring
     if n not in _tree_cache:
         out = []
-        for seq in _rooted_level_sequences(n):
-            # keep the sequence only when it is the free-tree canonical
-            # form, i.e. the greatest sequence over center rootings (the
-            # three cases are argued in the module docstring)
-            h1, h2, c = _root_branch_heights(seq)
+        h = n // 2
+        seq = [0] if n == 1 else [0, *range(1, h + 1), *[h] * (n - 2 * h), *range(1, h)]
+        while seq is not None:
+            e = seq.index(1, 2) - 1 if 1 in seq[2:] else n - 1  # first branch's end
+            first, rest = seq[1 : e + 1], seq[e + 1 :]
+            h1, h2 = max(first, default=0), max(rest, default=0)
             if h1 - h2 >= 2:
-                continue
-            adj = _adjacency_from_sequence(seq)
-            if h1 == h2 + 1 and tuple(seq) < _canonical_from(adj, c):
-                continue
-            out.append(
-                Graph.from_edges(n, ((u, v) for u, nb in enumerate(adj) for v in nb if u < v))
-            )
+                seq = _successor(seq, e)
+            else:
+                if h1 == h2 or seq[2:] >= [y + 1 for y in rest] + [x - 1 for x in first[1:]]:
+                    out.append(_tree_from_sequence(seq))
+                seq = _successor(seq)
+            if seq is not None and 1 not in seq[2:]:
+                h = max(seq)
+                seq[n - h + 1 :] = range(1, h)
         _tree_cache[n] = out
     return _tree_cache[n]
 

@@ -210,11 +210,11 @@ def diameter(g: Graph) -> int:
         raise DomainError("diameter of the empty graph is undefined")
     if g.m != g.n - 1:
         return max(eccentricities(g))
-    if not is_connected(g):
-        raise DomainError("eccentricities need a connected graph")
-    # a tree: a vertex farthest from any vertex ends a longest path, so two
-    # sweeps suffice (the double sweep)
+    # a tree if connected: a vertex farthest from any vertex ends a longest
+    # path, so two sweeps suffice, the first also checking connectivity
     dist = bfs_distances(g, 0)
+    if -1 in dist:
+        raise DomainError("eccentricities need a connected graph")
     return max(bfs_distances(g, dist.index(max(dist))))
 
 

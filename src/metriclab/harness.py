@@ -441,16 +441,20 @@ def _connected(suite):
 # tree suites
 
 
+def _measured_trees(nmax):
+    """(t, d, k) for every free tree t to nmax, diameter d, dimension k."""
+    for t in enumerate_trees(nmax):
+        yield t, diameter(t), tree_metric_dimension(t).dimension
+
+
 def _suite_tree_bound(checks, nmax, seed, corpus):
     nmax = 12 if nmax is None else nmax
-    pool = list(enumerate_trees(nmax))
-    for t in pool:
-        d = diameter(t)
-        k = tree_metric_dimension(t).dimension
+    trees = list(_measured_trees(nmax))
+    for t, d, k in trees:
         b = bound_tree(d, k)
         checks.claim(t.n <= b, t, "n <= tree bound", t.n, b, f"d={d} k={k}")
         checks.ratio(t, t.n, b)
-    return len(pool), {"nmax": nmax}, checks.max_ratio()
+    return len(trees), {"nmax": nmax}, checks.max_ratio()
 
 
 def _hs_tag(d, k, a):
@@ -474,12 +478,10 @@ def _comb_tree_pool(nmax):
 
 def _suite_tree_equality(checks, nmax, seed, corpus):
     nmax = 12 if nmax is None else nmax
-    pool = list(enumerate_trees(nmax))
+    trees = list(_measured_trees(nmax))
     equality = []
     low_dim = 0
-    for t in pool:
-        d = diameter(t)
-        k = tree_metric_dimension(t).dimension
+    for t, d, k in trees:
         if t.n != bound_tree(d, k):
             continue
         if k < 2:
@@ -515,7 +517,7 @@ def _suite_tree_equality(checks, nmax, seed, corpus):
         "low_dimension_equalities": low_dim,
         "generator_params_checked": params,
     }
-    return len(pool), {"nmax": nmax}, extras
+    return len(trees), {"nmax": nmax}, extras
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .config import enforce_cap
 from .errors import DomainError, InternalError
-from .graphs import Graph, all_distances, bfs_distances, is_connected, is_tree, iter_bits
+from .graphs import Graph, all_distances, bfs_distances, is_connected, is_tree
 from .hypergraphs import _balls, _first_centers, _is_test_cover
 from .setcover import min_cover
 
@@ -51,7 +51,7 @@ def _certificate(row, s, n: int) -> ResolvingCertificate:
         if not 0 <= x < n:
             raise DomainError(f"landmark {x} out of range")
     rows = [row(x) for x in landmarks]
-    vecs = {v: tuple(r[v] for r in rows) for v in range(n)}
+    vecs = dict(enumerate(zip(*rows))) if rows else dict.fromkeys(range(n), ())
     ok = len(set(vecs.values())) == n
     return ResolvingCertificate(landmarks, len(landmarks), vecs, ok)
 
@@ -159,29 +159,25 @@ def tree_metric_dimension(t: Graph) -> ResolvingCertificate:
     """
     if not is_tree(t):
         raise DomainError("tree_metric_dimension needs a tree")
-    if t.n == 1:
-        return _bfs_certificate(t, [])
-    if all(t.degree(v) <= 2 for v in range(t.n)):
-        endpoint = min(v for v in range(t.n) if t.degree(v) == 1)
-        return _bfs_certificate(t, [endpoint])
+    adj = t.adj
+    deg = [a.bit_count() for a in adj]
+    leaves = [v for v in range(t.n) if deg[v] == 1]
+    if max(deg) <= 2:  # a path, or the one-vertex tree with no leaf
+        return _bfs_certificate(t, leaves[:1])
 
-    # walk from each leaf through degree-2 vertices to its major vertex
+    # walk each leaf, in ascending order, through degree-2 vertices to its major
     legs_of: dict[int, list[int]] = {}
-    for leaf in (v for v in range(t.n) if t.degree(v) == 1):
-        prev, cur = -1, leaf
-        while True:
-            nxt = next(u for u in iter_bits(t.adj[cur]) if u != prev)
-            if t.degree(nxt) >= 3:
-                legs_of.setdefault(nxt, []).append(leaf)
-                break
-            prev, cur = cur, nxt
+    for leaf in leaves:
+        prev, cur = leaf, adj[leaf].bit_length() - 1
+        while deg[cur] == 2:
+            prev, cur = cur, (adj[cur] ^ 1 << prev).bit_length() - 1
+        legs_of.setdefault(cur, []).append(leaf)
 
     witness: list[int] = []
     for major in sorted(legs_of):
-        witness.extend(sorted(legs_of[major])[:-1])
-    nleaves = sum(1 for v in range(t.n) if t.degree(v) == 1)
+        witness.extend(legs_of[major][:-1])
     cert = _bfs_certificate(t, witness)
-    if len(witness) != nleaves - len(legs_of) or not cert.verified:
+    if len(witness) != len(leaves) - len(legs_of) or not cert.verified:
         raise InternalError("tree_metric_dimension: the leg witness is the wrong size or not resolving")
     return cert
 

@@ -9,11 +9,7 @@ import itertools
 from collections import Counter
 
 from metriclab.config import enforce_cap
-from metriclab.enumeration import (
-    _adjacency_from_sequence,
-    _free_canonical,
-    _rooted_level_sequences,
-)
+from metriclab.enumeration import _canonical_from, _free_canonical, _successor
 from metriclab.errors import DomainError
 from metriclab.graphs import (
     Graph,
@@ -936,9 +932,73 @@ def reference_is_outerplanar(g, maxn=None):
 
 
 # ---------------------------------------------------------------------------
-# enumeration: the plain filters, with no center test and no stored colorings
-# (every rooted sequence is compared over all center rootings; every candidate
-# is refined again by each isomorphism check)
+# enumeration: the full scans the generators prune, and the plain filters
+# with no center test and no stored colorings (every rooted sequence is
+# compared over all center rootings; every candidate is refined again by each
+# isomorphism check)
+
+
+def _rooted_level_sequences(n):
+    """All rooted trees on n vertices, one canonical level sequence each, in
+    the decreasing order of the runtime successor."""
+    seq = list(range(n))
+    while seq is not None:
+        yield seq
+        seq = _successor(seq)
+
+
+def _adjacency_from_sequence(seq):
+    adj = [[] for _ in seq]
+    stack = []
+    for i, depth in enumerate(seq):
+        del stack[depth:]
+        if stack:
+            adj[stack[-1]].append(i)
+            adj[i].append(stack[-1])
+        stack.append(i)
+    return adj
+
+
+def _root_branch_heights(seq):
+    """The two tallest branch heights at the root, h1 >= h2 (0 if absent),
+    and the position c of the first vertex of the first branch of height h1
+    (0 for the one-vertex tree)."""
+    h1 = h2 = top = c = start = 0
+    for i in range(1, len(seq)):
+        depth = seq[i]
+        if depth == 1:
+            # a new branch starts: fold the finished one into h1, h2
+            if top > h1:
+                h1, h2, c = top, h1, start
+            elif top > h2:
+                h2 = top
+            top, start = 1, i
+        elif depth > top:
+            top = depth
+    if top > h1:
+        return top, h1, start
+    return h1, max(h2, top), c
+
+
+def _tree_from_adjacency(adj):
+    return Graph.from_edges(len(adj), ((u, v) for u, nb in enumerate(adj) for v in nb if u < v))
+
+
+def reference_tree_scan(n):
+    """Free trees on n vertices by the scan of every rooted level sequence:
+    a sequence is kept when its root is a center by the branch heights and,
+    for a bicentral tree, it is no smaller than the sequence at the other
+    center. The runtime generator skips the rejected blocks of this scan."""
+    out = []
+    for seq in _rooted_level_sequences(n):
+        h1, h2, c = _root_branch_heights(seq)
+        if h1 - h2 >= 2:
+            continue
+        adj = _adjacency_from_sequence(seq)
+        if h1 == h2 + 1 and tuple(seq) < _canonical_from(adj, c):
+            continue
+        out.append(_tree_from_adjacency(adj))
+    return out
 
 
 _reference_tree_cache: dict = {}
@@ -953,9 +1013,7 @@ def reference_free_trees(n):
             # form, i.e. the greatest sequence over center rootings
             adj = _adjacency_from_sequence(seq)
             if tuple(seq) == _free_canonical(adj):
-                out.append(
-                    Graph.from_edges(n, ((u, v) for u, nb in enumerate(adj) for v in nb if u < v))
-                )
+                out.append(_tree_from_adjacency(adj))
         _reference_tree_cache[n] = out
     return _reference_tree_cache[n]
 

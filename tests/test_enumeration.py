@@ -30,12 +30,14 @@ from metriclab.graphs import (
     to_graph6,
 )
 from oracles import (
+    _rooted_level_sequences,
     free_tree_canonical,
     perm_automorphism_count,
     perm_isomorphic,
     random_tree,
     reference_connected_graphs,
     reference_free_trees,
+    reference_tree_scan,
     tree_from_pruefer,
 )
 
@@ -44,6 +46,9 @@ from oracles import (
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
 ROOTED_TREE_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842]
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
+# level sequences the free-tree generator examines per order n = 1..14
+# (the rooted scan examines every rooted tree, 32973 at n = 14)
+EXAMINED_SEQUENCE_COUNTS = [1, 1, 1, 2, 4, 8, 18, 38, 84, 184, 415, 943, 2211, 5244]
 # one-vertex extensions scanned per order n = 2..7 once masks that are not
 # the least of their Aut(base)-orbit are pruned (7056 at n = 7 without)
 PRUNED_CANDIDATE_COUNTS = [1, 2, 8, 44, 333, 3771]
@@ -70,9 +75,36 @@ def adjacency(graphs):
 
 
 def test_trees_match_reference_filter_in_order():
-    pool = by_order(enumerate_trees(13))
-    for n in range(1, 14):
+    pool = by_order(enumerate_trees(14))
+    for n in range(1, 15):
         assert adjacency(pool[n]) == adjacency(reference_free_trees(n))
+
+
+def test_trees_match_rooted_scan_in_order():
+    pool = by_order(enumerate_trees(15))
+    for n in range(1, 16):
+        assert pool[n] == reference_tree_scan(n), n
+
+
+def test_tree_generator_examines_the_pinned_sequence_counts(monkeypatch):
+    # every examined sequence gets one successor call, a jump included, so
+    # a lost jump or tail reset moves a count
+    calls = 0
+    successor = enumeration._successor
+
+    def counted(seq, p=0):
+        nonlocal calls
+        calls += 1
+        return successor(seq, p)
+
+    monkeypatch.setattr(enumeration, "_successor", counted)
+    monkeypatch.setattr(enumeration, "_tree_cache", {})
+    got = []
+    for n in range(1, 15):
+        calls = 0
+        enumeration._free_trees_exact(n)
+        got.append(calls)
+    assert got == EXAMINED_SEQUENCE_COUNTS
 
 
 def test_connected_graphs_match_reference_scan_in_order():
@@ -101,7 +133,7 @@ def test_automorphism_group_orders_match_permutation_oracle():
 
 def test_rooted_sequence_counts():
     for n, want in enumerate(ROOTED_TREE_COUNTS, start=1):
-        got = sum(1 for _ in enumeration._rooted_level_sequences(n))
+        got = sum(1 for _ in _rooted_level_sequences(n))
         assert got == want
 
 

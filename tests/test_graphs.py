@@ -117,9 +117,11 @@ def test_diameter_needs_connected():
     g.add_edge(0, 1)
     with pytest.raises(DomainError):
         diameter(g)
-    # as many edges as a tree on 4 vertices, but a triangle and a loner
-    with pytest.raises(DomainError):
+    # as many edges as a tree on 4 vertices, but a triangle and a loner:
+    # the first sweep of the double sweep is the connectivity check
+    with pytest.raises(DomainError) as err:
         diameter(Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)]))
+    assert str(err.value) == "eccentricities need a connected graph"
 
 
 def test_components_and_connectivity():

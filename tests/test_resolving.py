@@ -10,7 +10,7 @@ import pytest
 import metriclab
 import metriclab.graphs
 from metriclab import hypergraphs, resolving, treedec
-from metriclab.enumeration import enumerate_connected_graphs
+from metriclab.enumeration import enumerate_connected_graphs, enumerate_trees
 from metriclab.errors import DomainError, InternalError, TooLargeError
 from metriclab.graphs import (
     Graph,
@@ -250,6 +250,14 @@ def test_tree_dimension_base_cases():
         tree_metric_dimension(cycle_graph(4))
     with pytest.raises(DomainError):
         tree_metric_dimension(Graph(2))
+
+
+def test_tree_certificate_vectors_match_the_oracle():
+    cert = tree_metric_dimension(Graph(1))
+    assert (cert.vectors, cert.dimension, cert.verified) == ({0: ()}, 0, True)
+    for t in enumerate_trees(12):
+        cert = tree_metric_dimension(t)
+        assert cert.vectors == oracles.resolving_vectors(t, cert.vertices)
 
 
 def test_tree_dimension_spider_and_caterpillar():
