@@ -236,45 +236,47 @@ def leaves(g: Graph) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# chordality: maximum cardinality search + perfect elimination check
+# chordality by simplicial peeling (Dirac 1961; Fulkerson & Gross 1965)
 
 
-def mcs_order(g: Graph) -> list[int]:
-    """A maximum-cardinality search order (reversed it is a PEO iff chordal)."""
-    weight = [0] * g.n
-    visited = 0
-    order = []
-    for _ in range(g.n):
-        best = max(
-            (v for v in range(g.n) if not visited >> v & 1),
-            key=lambda v: (weight[v], -v),
-        )
-        order.append(best)
-        visited |= 1 << best
-        for u in iter_bits(g.adj[best] & ~visited):
-            weight[u] += 1
-    return order
+def _simplicial_peel(g: Graph) -> tuple[list[tuple[int, int]], int]:
+    """Remove simplicial vertices (whose neighbors form a clique), always
+    the lowest one left, until none is. Returns the removed vertices in
+    order, each with its neighbor mask at removal time, and the mask of
+    the vertices left over.
+
+    A simplicial vertex stays simplicial as others go, so every order of
+    removals ends at the same rest, which is empty iff g is chordal. A
+    removal can make only its own neighbors simplicial, so only they are
+    re-tested: there is no rescan.
+
+    On a chordal graph the order is a perfect elimination order and each
+    candidate {v} | nbs is a clique. A maximal clique is the candidate of
+    its first removed vertex, the rest of it being still there, so the
+    maximal candidates are the maximal cliques for every such order.
+    """
+    adj = g.adj
+    alive = test = (1 << g.n) - 1
+    ready = 0
+    peeled = []
+    while True:
+        for u in iter_bits(test):
+            nbs = adj[u] & alive
+            if not any(nbs & ~adj[w] & ~(1 << w) for w in iter_bits(nbs)):
+                ready |= 1 << u
+        if not ready:
+            return peeled, alive
+        low = ready & -ready
+        v = low.bit_length() - 1
+        alive ^= low
+        ready ^= low
+        nbs = adj[v] & alive
+        peeled.append((v, nbs))
+        test = nbs & ~ready
 
 
 def is_chordal(g: Graph) -> bool:
-    order = mcs_order(g)
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    # Eliminate in reverse MCS order: earlier-MCS neighbors of v must form a
-    # clique once v's earliest such neighbor absorbs them.
-    for v in order:
-        earlier = [u for u in iter_bits(g.adj[v]) if pos[u] < pos[v]]
-        if not earlier:
-            continue
-        w = max(earlier, key=lambda u: pos[u])
-        others = 0
-        for u in earlier:
-            if u != w:
-                others |= 1 << u
-        if others & ~g.adj[w]:
-            return False
-    return True
+    return not _simplicial_peel(g)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ and exact treewidth.
 A decomposition keeps a reference to its host graph; bag distances (length)
 are host distances, not induced ones. Validation reports violations as data
 so callers can show them; the other operations refuse invalid input.
+
+Clique trees and exact treewidth start from one simplicial peel
+(``graphs._simplicial_peel``); the exact search runs on the core it leaves.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from typing import Iterable
 
 from .config import enforce_cap
 from .errors import DomainError, FormatError, InternalError
-from .graphs import Graph, all_distances, is_chordal, iter_bits, mcs_order
+from .graphs import Graph, _simplicial_peel, all_distances, iter_bits
 
 
 class TreeDecomposition:
@@ -163,75 +166,44 @@ def reduce(td: TreeDecomposition) -> TreeDecomposition:
     return TreeDecomposition(td.host, [bags[i] for i in keep], sorted(new_edges))
 
 
-def _max_weight_spanning_tree(nodes: int, weight) -> list[tuple[int, int]]:
-    """Kruskal on the complete graph over `nodes` indices (ties by index)."""
-    edges = sorted(
-        ((i, j) for i in range(nodes) for j in range(i + 1, nodes)),
-        key=lambda e: (-weight(*e), e),
-    )
-    parent = list(range(nodes))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def _max_weight_spanning_tree(masks: list[int]) -> list[tuple[int, int]]:
+    """Maximum-weight spanning tree of the complete graph on the clique
+    masks, by Prim under the edge key (-|Ci & Cj|, i, j), i < j. The keys
+    are distinct, so the minimum-key tree is unique and is the one Kruskal
+    takes from the sorted pairs; Prim keeps one best key per clique instead
+    of every pair, so it needs O(c) memory and O(c²) time for c cliques."""
+    best = {j: (-(masks[0] & masks[j]).bit_count(), 0, j) for j in range(1, len(masks))}
     out = []
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            out.append((i, j))
+    while best:
+        j = min(best, key=best.__getitem__)
+        out.append(best.pop(j)[1:])
+        for k, old in best.items():
+            key = (-(masks[j] & masks[k]).bit_count(), min(j, k), max(j, k))
+            if key < old:
+                best[k] = key
     return out
 
 
 def clique_tree(g: Graph) -> TreeDecomposition:
     """Maximal cliques as bags, joined by a maximum-weight spanning tree on
-    pairwise intersection sizes. Needs a chordal host. The result is
-    checked as treewidth_exact's is: an invalid one raises InternalError."""
-    if not is_chordal(g):
+    pairwise intersection sizes. Needs a chordal host. The cliques are
+    sorted, so the peel order does not matter. An invalid result raises
+    InternalError, as treewidth_exact's does."""
+    peeled, rest = _simplicial_peel(g)
+    if rest:
         raise DomainError("clique_tree needs a chordal graph")
-    if g.n == 0:
-        return TreeDecomposition(g, [], [])
-    order = list(reversed(mcs_order(g)))  # perfect elimination order
-    pos = {v: i for i, v in enumerate(order)}
-    cands = []
-    for v in order:
-        later = {u for u in g.neighbors(v) if pos[u] > pos[v]}
-        cands.append(frozenset(later | {v}))
+    # a candidate can lie inside another only when its vertex is a later
+    # neighbor of the other's, so one test per edge finds the non-maximal
+    cand = {v: nbs | 1 << v for v, nbs in peeled}
+    inside = {v for u, nbs in peeled for v in iter_bits(nbs) if cand[v] & ~cand[u] == 0}
     cliques = sorted(
-        {c for c in cands if not any(c < other for other in cands)},
-        key=sorted,
+        (c for v, c in cand.items() if v not in inside), key=lambda c: tuple(iter_bits(c))
     )
-    edges = _max_weight_spanning_tree(
-        len(cliques), lambda i, j: len(cliques[i] & cliques[j])
-    )
-    td = TreeDecomposition(g, cliques, edges)
+    edges = _max_weight_spanning_tree(cliques)
+    td = TreeDecomposition(g, map(iter_bits, cliques), edges)
     if td._violations:
         raise InternalError("clique_tree: the clique tree is not a valid decomposition")
     return td
-
-
-def _strip_simplicial(g: Graph):
-    """Peel vertices whose neighborhood is a clique, always the lowest one
-    left, rescanning after each peel; exact for treewidth."""
-    adj = g.adj
-    alive = (1 << g.n) - 1
-    stack = []  # (vertex, neighbor set at peel time)
-    peeled_deg = -1
-    while True:
-        for v in iter_bits(alive):
-            nbs = adj[v] & alive
-            if not any(nbs & ~adj[u] & ~(1 << u) for u in iter_bits(nbs)):
-                break
-        else:
-            break
-        stack.append((v, set(iter_bits(nbs))))
-        peeled_deg = max(peeled_deg, nbs.bit_count())
-        alive &= ~(1 << v)
-    names = list(iter_bits(alive))
-    return g.induced(names), names, stack, peeled_deg
 
 
 def _min_fill_order(g: Graph) -> tuple[list[int], int]:
@@ -354,25 +326,23 @@ def treewidth_exact(g: Graph, maxn: int | None = None) -> tuple[int, TreeDecompo
     The size cap applies to the core left after simplicial peeling, so long
     paths, trees and chordal graphs pass at any size.
     """
-    core, names, stack, peeled_deg = _strip_simplicial(g)
+    peeled, rest = _simplicial_peel(g)
+    names = list(iter_bits(rest))
+    core = g.induced(names)
     enforce_cap(core.n, maxn, "treewidth_n", "treewidth_exact: core has {n} vertices, cap {cap}")
+    tw, bags, edges = -1, [], []
     if core.n:
-        core_tw, order = _treewidth_core(core)
-        raw_bags, raw_edges = _decomp_from_order(core, order)
+        tw, order = _treewidth_core(core)
+        raw_bags, edges = _decomp_from_order(core, order)
         bags = [frozenset(names[v] for v in b) for b in raw_bags]
-        edges = list(raw_edges)
-    else:
-        core_tw = -1
-        bags, edges = [], []
-    for v, nbs in reversed(stack):
-        bag = frozenset({v} | nbs)
-        if not bags:
-            bags.append(bag)
-            continue
-        home = next(i for i, b in enumerate(bags) if nbs <= b)
-        bags.append(bag)
-        edges.append((home, len(bags) - 1))
-    tw = max(core_tw, peeled_deg)
+    # re-insert the peeled vertices, last first: each neighbor set is a
+    # clique of the graph rebuilt so far, so some bag already holds it
+    for v, nbs in reversed(peeled):
+        nbs = set(iter_bits(nbs))
+        if bags:
+            edges.append((next(i for i, b in enumerate(bags) if nbs <= b), len(bags)))
+        bags.append(frozenset({v} | nbs))
+        tw = max(tw, len(nbs))
     td = TreeDecomposition(g, bags, edges)
     if td._violations or width(td) != tw:
         raise InternalError("treewidth_exact: the decomposition does not certify the width")

@@ -20,7 +20,7 @@ from metriclab.graphs import (
     iter_bits,
     to_graph6,
 )
-from metriclab.treedec import _require_valid
+from metriclab.treedec import TreeDecomposition, _require_valid
 
 INF = float("inf")
 
@@ -163,6 +163,95 @@ def chordal_by_definition(g):
             if all(ind.degree(v) == 2 for v in range(ind.n)) and is_connected(ind):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# chordality: maximum cardinality search + perfect elimination check, and
+# the clique tree built on it with an all-pairs Kruskal (the library peels
+# simplicial vertices and runs Prim instead)
+
+
+def mcs_order(g: Graph) -> list[int]:
+    """A maximum-cardinality search order (reversed it is a PEO iff chordal)."""
+    weight = [0] * g.n
+    visited = 0
+    order = []
+    for _ in range(g.n):
+        best = max(
+            (v for v in range(g.n) if not visited >> v & 1),
+            key=lambda v: (weight[v], -v),
+        )
+        order.append(best)
+        visited |= 1 << best
+        for u in iter_bits(g.adj[best] & ~visited):
+            weight[u] += 1
+    return order
+
+
+def reference_is_chordal(g: Graph) -> bool:
+    order = mcs_order(g)
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    # Eliminate in reverse MCS order: earlier-MCS neighbors of v must form a
+    # clique once v's earliest such neighbor absorbs them.
+    for v in order:
+        earlier = [u for u in iter_bits(g.adj[v]) if pos[u] < pos[v]]
+        if not earlier:
+            continue
+        w = max(earlier, key=lambda u: pos[u])
+        others = 0
+        for u in earlier:
+            if u != w:
+                others |= 1 << u
+        if others & ~g.adj[w]:
+            return False
+    return True
+
+
+def reference_max_weight_spanning_tree(nodes: int, weight) -> list[tuple[int, int]]:
+    """Kruskal on the complete graph over `nodes` indices (ties by index)."""
+    edges = sorted(
+        ((i, j) for i in range(nodes) for j in range(i + 1, nodes)),
+        key=lambda e: (-weight(*e), e),
+    )
+    parent = list(range(nodes))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    out = []
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            out.append((i, j))
+    return out
+
+
+def reference_clique_tree(g: Graph) -> TreeDecomposition:
+    """Maximal cliques from the reversed MCS order, joined by Kruskal."""
+    if not reference_is_chordal(g):
+        raise DomainError("clique_tree needs a chordal graph")
+    if g.n == 0:
+        return TreeDecomposition(g, [], [])
+    order = list(reversed(mcs_order(g)))  # perfect elimination order
+    pos = {v: i for i, v in enumerate(order)}
+    cands = []
+    for v in order:
+        later = {u for u in g.neighbors(v) if pos[u] > pos[v]}
+        cands.append(frozenset(later | {v}))
+    cliques = sorted(
+        {c for c in cands if not any(c < other for other in cands)},
+        key=sorted,
+    )
+    edges = reference_max_weight_spanning_tree(
+        len(cliques), lambda i, j: len(cliques[i] & cliques[j])
+    )
+    return TreeDecomposition(g, cliques, edges)
 
 
 # ---------------------------------------------------------------------------

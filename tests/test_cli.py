@@ -167,7 +167,7 @@ def test_invalid_clique_tree_exits_4(cli, monkeypatch):
 
     mst = treedec._max_weight_spanning_tree
     monkeypatch.setattr(treedec, "_max_weight_spanning_tree",
-                        lambda nodes, weight: mst(nodes, weight)[1:])
+                        lambda masks: mst(masks)[1:])
     code, out, err = cli(["td", "cliquetree"], stdin_text=P4_EDGES)
     assert (code, out) == (4, "")
     assert err == "error: clique_tree: the clique tree is not a valid decomposition\n"

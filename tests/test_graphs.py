@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +287,45 @@ def test_chordal_accepts_simplicial_growth():
                 g.add_edge(u, w)
         assert is_chordal(g)
         assert oracles.chordal_by_definition(g)
+
+
+def spine_first_caterpillar(legs):
+    """The path 0..legs-1 with one leaf legs + i hung on each spine vertex i."""
+    spine = [(i, i + 1) for i in range(legs - 1)]
+    return Graph.from_edges(2 * legs, spine + [(i, legs + i) for i in range(legs)])
+
+
+def test_chordal_matches_mcs_oracle():
+    corpus = (Path(__file__).parent / "data" / "connected8.g6").read_text().split()
+    graphs = list(enumerate_connected_graphs(7)) + list(map(parse_graph6, corpus))
+    assert sum(map(oracles.reference_is_chordal, graphs)) == 1968
+    rng = random.Random(2611)
+    graphs += [
+        oracles.random_graph(rng, rng.randint(1, 15), rng.choice([0.2, 0.4, 0.6, 0.8]))
+        for _ in range(300)
+    ]
+    graphs += [cycle_graph(500), spine_first_caterpillar(300)]
+    lib = hashlib.sha256(bytes(map(is_chordal, graphs))).hexdigest()
+    assert lib == hashlib.sha256(bytes(map(oracles.reference_is_chordal, graphs))).hexdigest()
+
+
+def test_chordal_peel_retests_only_neighbors(monkeypatch):
+    # the spine is numbered first, so a peel that rescans from vertex 0
+    # after each removal walks the whole spine every time (46350 calls)
+    import metriclab.graphs as graphs_module
+
+    g = spine_first_caterpillar(300)
+    calls = 0
+    real = graphs_module.iter_bits
+
+    def counting(mask):
+        nonlocal calls
+        calls += 1
+        return real(mask)
+
+    monkeypatch.setattr(graphs_module, "iter_bits", counting)
+    assert is_chordal(g)
+    assert calls == 1799 <= 4 * g.n
 
 
 # biconnected components -----------------------------------------------------

@@ -179,7 +179,7 @@ def test_solver_checks_survive_python_O():
         with pytest.raises(InternalError):
             treedec.treewidth_exact(cycle_graph(5))
         mst = treedec._max_weight_spanning_tree
-        treedec._max_weight_spanning_tree = lambda nodes, weight: mst(nodes, weight)[1:]
+        treedec._max_weight_spanning_tree = lambda masks: mst(masks)[1:]
         with pytest.raises(InternalError):
             treedec.clique_tree(path_graph(4))
         real = resolving._bfs_certificate

@@ -1,9 +1,11 @@
+import hashlib
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from metriclab.enumeration import enumerate_connected_graphs
+from metriclab.enumeration import enumerate_connected_graphs, enumerate_trees
 from metriclab.errors import DomainError, FormatError, TooLargeError
 from metriclab.graphs import (
     Graph,
@@ -39,6 +41,7 @@ from oracles import (
     random_connected_graph,
     random_graph,
     random_tree,
+    reference_clique_tree,
     reference_violations,
 )
 
@@ -273,6 +276,32 @@ def test_clique_tree_and_peel_decomposition_agree_on_chordal_graphs():
     for g in graphs:
         ct, (tw, td) = clique_tree(g), treewidth_exact(g)
         assert (width(ct), length(ct)) == (tw, length(td)), to_graph6(g)
+
+
+def test_clique_tree_matches_mcs_kruskal_oracle():
+    corpus = (Path(__file__).parent / "data" / "connected8.g6").read_text().split()
+    graphs = [g for g in enumerate_connected_graphs(7) if is_chordal(g)]
+    graphs += [g for g in map(parse_graph6, corpus) if is_chordal(g)]
+    rng = random.Random(2612)
+    graphs += [random_chordal(rng, rng.randint(1, 60)) for _ in range(200)]
+    graphs += list(enumerate_trees(11)) + [star_graph(500)]
+    lib, ref = hashlib.sha256(), hashlib.sha256()
+    for g in graphs:
+        lib.update(format_pace(clique_tree(g)).encode())
+        ref.update(format_pace(reference_clique_tree(g)).encode())
+    assert lib.hexdigest() == ref.hexdigest()
+
+
+def test_clique_tree_memory_is_linear_in_the_clique_count():
+    # every pair of the 1000 cliques at once would take tens of megabytes
+    g = star_graph(1000)
+    tracemalloc.start()
+    try:
+        td = clique_tree(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(td.bags) == 1000 and peak < 10 * 2**20
 
 
 def test_treewidth_families():
