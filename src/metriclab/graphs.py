@@ -85,11 +85,6 @@ class Graph:
             for v in iter_bits(rest):
                 yield (u, v)
 
-    def copy(self) -> "Graph":
-        g = Graph(self.n)
-        g.adj = list(self.adj)
-        return g
-
     def induced(self, vertices) -> "Graph":
         """Induced subgraph on the given vertices, renumbered in sorted order."""
         vs = sorted(set(vertices))
@@ -119,47 +114,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-
-# ---------------------------------------------------------------------------
-# named families for examples and tests; the generators build their own
-
-
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise DomainError("cycle needs at least 3 vertices")
-    g = path_graph(n)
-    g.add_edge(n - 1, 0)
-    return g
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph.from_edges(a + b, ((u, a + v) for u in range(a) for v in range(b)))
-
-
-def star_graph(leaves: int) -> Graph:
-    return Graph.from_edges(leaves + 1, ((0, i) for i in range(1, leaves + 1)))
-
-
-def grid_graph(rows: int, cols: int) -> Graph:
-    """rows x cols grid; vertex (r,c) is r*cols + c."""
-    g = Graph(rows * cols)
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                g.add_edge(v, v + 1)
-            if r + 1 < rows:
-                g.add_edge(v, v + cols)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +185,6 @@ def is_tree(g: Graph) -> bool:
     return g.n > 0 and g.m == g.n - 1 and is_connected(g)
 
 
-def leaves(g: Graph) -> list[int]:
-    return [v for v in range(g.n) if g.degree(v) == 1]
-
-
 # ---------------------------------------------------------------------------
 # chordality by simplicial peeling (Dirac 1961; Fulkerson & Gross 1965)
 
@@ -248,7 +198,8 @@ def _simplicial_peel(g: Graph) -> tuple[list[tuple[int, int]], int]:
     A simplicial vertex stays simplicial as others go, so every order of
     removals ends at the same rest, which is empty iff g is chordal. A
     removal can make only its own neighbors simplicial, so only they are
-    re-tested: there is no rescan.
+    re-tested: there is no rescan. A test walks the neighbors lowest first
+    and stops at the first that misses another, so a hub fails at once.
 
     On a chordal graph the order is a perfect elimination order and each
     candidate {v} | nbs is a clique. A maximal clique is the candidate of
@@ -261,8 +212,13 @@ def _simplicial_peel(g: Graph) -> tuple[list[tuple[int, int]], int]:
     peeled = []
     while True:
         for u in iter_bits(test):
-            nbs = adj[u] & alive
-            if not any(nbs & ~adj[w] & ~(1 << w) for w in iter_bits(nbs)):
+            nbs = left = adj[u] & alive
+            while left:
+                low = left & -left
+                if nbs & ~adj[low.bit_length() - 1] & ~low:
+                    break
+                left ^= low
+            else:
                 ready |= 1 << u
         if not ready:
             return peeled, alive
@@ -433,10 +389,6 @@ def parse_edge_list(text: str) -> Graph:
     if top < 0:
         raise FormatError("edge list has no edges; use graph6 for edgeless graphs")
     return Graph.from_edges(top + 1, pairs)
-
-
-def format_edge_list(g: Graph) -> str:
-    return "\n".join(f"{u} {v}" for u, v in g.edges())
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Edges are stored as int bitmasks over vertices 0..nverts-1, in a list whose
 slots are meaningful: the dual has one vertex per edge slot and one edge per
 original vertex, so dual(dual(h)) == h exactly, multiplicities included.
-Deduplication is always an explicit step (``dedup``), never implicit.
+No result is deduplicated unless its docstring says so, as ``trace``'s does.
 A hypergraph is its vertex count and its edge list, nothing more: two are
 equal exactly when both agree, slot for slot.
 """
@@ -110,11 +110,6 @@ def format_hypergraph(h: Hypergraph) -> str:
 
 # ---------------------------------------------------------------------------
 # basic operations
-
-
-def dedup(h: Hypergraph) -> Hypergraph:
-    """Drop repeated edge sets, keeping the first slot of each."""
-    return Hypergraph(h.nverts, list(dict.fromkeys(h.edges)))
 
 
 def trace(h: Hypergraph, x) -> Hypergraph:

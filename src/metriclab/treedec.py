@@ -6,7 +6,9 @@ are host distances, not induced ones. Validation reports violations as data
 so callers can show them; the other operations refuse invalid input.
 
 Clique trees and exact treewidth start from one simplicial peel
-(``graphs._simplicial_peel``); the exact search runs on the core it leaves.
+(``graphs._simplicial_peel``). Exact treewidth then stays in the host's own
+labels on vertex masks, with no induced core; each peeled vertex goes back
+under the first bag that holds its neighbors, found from holder masks.
 """
 
 from __future__ import annotations
@@ -137,33 +139,25 @@ def _length(td: TreeDecomposition, dist: list[list[int]]) -> int:
 def reduce(td: TreeDecomposition) -> TreeDecomposition:
     """Absorb any bag contained in a tree neighbor; width/length unchanged."""
     _require_valid(td)
-    bags = {i: set(b) for i, b in enumerate(td.bags)}
-    adj = {i: set() for i in bags}
+    bags = {i: sum(1 << v for v in b) for i, b in enumerate(td.bags)}
+    adj = dict.fromkeys(bags, 0)
     for i, j in td.tree_edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    while True:
-        victim = absorber = None
-        for i in sorted(bags):
-            for j in sorted(adj[i]):
-                if bags[i] <= bags[j]:
-                    victim, absorber = i, j
-                    break
-            if victim is not None:
-                break
-        if victim is None:
-            break
-        for k in adj[victim]:
-            adj[k].discard(victim)
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    # the lowest bag inside a neighbor goes into the lowest such neighbor
+    while pair := next(
+        ((i, j) for i in bags for j in iter_bits(adj[i]) if not bags[i] & ~bags[j]), None
+    ):
+        victim, absorber = pair
+        for k in iter_bits(adj.pop(victim)):
+            adj[k] &= ~(1 << victim)
             if k != absorber:
-                adj[k].add(absorber)
-                adj[absorber].add(k)
-        del bags[victim], adj[victim]
-    keep = sorted(bags)
-    pos = {i: t for t, i in enumerate(keep)}
-    new_edges = {(min(pos[i], pos[j]), max(pos[i], pos[j]))
-                 for i in keep for j in adj[i]}
-    return TreeDecomposition(td.host, [bags[i] for i in keep], sorted(new_edges))
+                adj[k] |= 1 << absorber
+                adj[absorber] |= 1 << k
+        del bags[victim]
+    pos = {i: t for t, i in enumerate(bags)}
+    edges = [(pos[i], pos[j]) for i in bags for j in iter_bits(adj[i]) if i < j]
+    return TreeDecomposition(td.host, map(iter_bits, bags.values()), edges)
 
 
 def _max_weight_spanning_tree(masks: list[int]) -> list[tuple[int, int]]:
@@ -206,12 +200,21 @@ def clique_tree(g: Graph) -> TreeDecomposition:
     return td
 
 
-def _min_fill_order(g: Graph) -> tuple[list[int], int]:
+def _eliminate(adj: list[int], alive: int, v: int) -> int:
+    """Join v's neighbors in alive into a clique of adj; return them."""
+    nb = adj[v] & alive & ~(1 << v)
+    for u in iter_bits(nb):
+        adj[u] |= nb & ~(1 << u)
+    return nb
+
+
+def _min_fill_order(g: Graph, alive: int) -> tuple[list[int], int]:
+    """Min-fill elimination order of the vertices in alive (lowest vertex
+    first on ties) and its width."""
     adj = list(g.adj)
-    alive = (1 << g.n) - 1
     order = []
     wid = -1
-    for _ in range(g.n):
+    while alive:
         best_v = best_fill = None
         for v in iter_bits(alive):
             nb = adj[v] & alive & ~(1 << v)
@@ -221,71 +224,63 @@ def _min_fill_order(g: Graph) -> tuple[list[int], int]:
             fill //= 2
             if best_fill is None or fill < best_fill:
                 best_v, best_fill = v, fill
-        v = best_v
-        nb = adj[v] & alive & ~(1 << v)
-        wid = max(wid, nb.bit_count())
-        for u in iter_bits(nb):
-            adj[u] |= nb & ~(1 << u)
-        alive &= ~(1 << v)
-        order.append(v)
+        wid = max(wid, _eliminate(adj, alive, best_v).bit_count())
+        alive &= ~(1 << best_v)
+        order.append(best_v)
     return order, wid
 
 
-def _elim_degree(adj: list[int], mask: int, v: int) -> int:
-    """Degree of v once the vertices in mask are eliminated (contracted away)."""
-    out = adj[v] & ~mask
-    frontier = adj[v] & mask
-    seen = frontier
+def _elim_degree(adj: list[int], core: int, mask: int, v: int) -> int:
+    """Degree of v in the graph on core once the vertices in mask (inside
+    core) are eliminated (contracted away)."""
+    out = adj[v]
+    frontier = seen = adj[v] & mask
     while frontier:
         nxt = 0
         for u in iter_bits(frontier):
             nxt |= adj[u]
-        out |= nxt & ~mask
-        nxt = nxt & mask & ~seen
-        seen |= nxt
-        frontier = nxt
-    return (out & ~(1 << v)).bit_count()
+        out |= nxt
+        frontier = nxt & mask & ~seen
+        seen |= frontier
+    return (out & core & ~mask & ~(1 << v)).bit_count()
 
 
-def _treewidth_core(g: Graph) -> tuple[int, list[int]]:
-    """Exact treewidth of a peel-free core, with a realizing elimination order.
+def _treewidth_core(g: Graph, core: int) -> tuple[int, list[int]]:
+    """Exact treewidth of the graph on core, a peel-free vertex mask of g,
+    with a realizing elimination order.
 
-    Layered subset search over elimination prefixes, keeping the minimal
+    Layered subset search over elimination prefixes (Bodlaender, Fomin,
+    Koster, Kratsch & Thilikos, ACM TALG 2012), keeping the minimal
     prefix-maximum per subset; the min-fill width bounds it from above, so
     a prefix reaching that width is dropped, and the min-fill order stands
     when no full prefix is left.
     """
-    order_ub, ub = _min_fill_order(g)
-    n = g.n
-    adj = list(g.adj)
-    full = (1 << n) - 1
+    order_ub, ub = _min_fill_order(g, core)
+    adj = g.adj
     seen = {0: -1}
     layer = {0: -1}
-    for _ in range(n):
+    while layer:
         nxt = {}
         for mask, m in layer.items():
-            free = full & ~mask
-            for low in iter_bits(free):
-                d = _elim_degree(adj, mask, low)
+            for low in iter_bits(core & ~mask):
+                d = _elim_degree(adj, core, mask, low)
                 nm = m if m > d else d
                 if nm >= ub:
                     continue
                 key = mask | (1 << low)
-                if nxt.get(key, n) > nm:
+                if nxt.get(key, ub) > nm:
                     nxt[key] = nm
         layer = nxt
         seen.update(nxt)
-        if not layer:
-            break
-    if full not in seen:
+    if core not in seen:
         return ub, order_ub
-    val = seen[full]
+    val = seen[core]
     rev = []
-    mask = full
+    mask = core
     while mask:
         for v in iter_bits(mask):
             pm = mask & ~(1 << v)
-            if pm in seen and seen[pm] <= val and _elim_degree(adj, pm, v) <= val:
+            if pm in seen and seen[pm] <= val and _elim_degree(adj, core, pm, v) <= val:
                 rev.append(v)
                 mask = pm
                 break
@@ -294,56 +289,51 @@ def _treewidth_core(g: Graph) -> tuple[int, list[int]]:
     return val, rev[::-1]
 
 
-def _decomp_from_order(g: Graph, order: list[int]):
-    """Bags and tree edges realizing the elimination order (fill-in bags)."""
-    adj = list(g.adj)
-    pos = {v: i for i, v in enumerate(order)}
-    bags = []
-    alive = (1 << g.n) - 1
-    for v in order:
-        nb = adj[v] & alive & ~(1 << v)
-        bags.append(frozenset({v} | set(iter_bits(nb))))
-        for u in iter_bits(nb):
-            adj[u] |= nb & ~(1 << u)
-        alive &= ~(1 << v)
-    edges = []
-    roots = []
-    for i, v in enumerate(order):
-        later = [u for u in bags[i] if u != v]
-        if later:
-            parent = min(later, key=lambda u: pos[u])
-            edges.append((i, pos[parent]))
-        else:
-            roots.append(i)
-    for a, b in zip(roots, roots[1:]):
-        edges.append((a, b))
-    return bags, edges
-
-
 def treewidth_exact(g: Graph, maxn: int | None = None) -> tuple[int, TreeDecomposition]:
     """Exact treewidth plus a realizing decomposition.
 
-    The size cap applies to the core left after simplicial peeling, so long
-    paths, trees and chordal graphs pass at any size.
+    All of it runs in g's own labels: the exact search takes the core that
+    simplicial peeling leaves as a vertex mask, with no induced copy, and
+    the bags are vertex masks until the decomposition is built. The size
+    cap applies to the core, so long paths, trees and chordal graphs pass
+    at any size.
     """
     peeled, rest = _simplicial_peel(g)
-    names = list(iter_bits(rest))
-    core = g.induced(names)
-    enforce_cap(core.n, maxn, "treewidth_n", "treewidth_exact: core has {n} vertices, cap {cap}")
-    tw, bags, edges = -1, [], []
-    if core.n:
-        tw, order = _treewidth_core(core)
-        raw_bags, edges = _decomp_from_order(core, order)
-        bags = [frozenset(names[v] for v in b) for b in raw_bags]
+    msg = "treewidth_exact: core has {n} vertices, cap {cap}"
+    enforce_cap(rest.bit_count(), maxn, "treewidth_n", msg)
+    tw, order = _treewidth_core(g, rest) if rest else (-1, [])
+    # fill-in bags: each vertex with its neighbors left at its elimination,
+    # under the bag of the first of them to go; the roots are chained
+    adj = list(g.adj)
+    pos = {v: i for i, v in enumerate(order)}
+    bags, edges, roots = [], [], []
+    holders = [0] * g.n  # bit i set when bag i holds the vertex
+    for i, v in enumerate(order):
+        nb = _eliminate(adj, rest, v)
+        rest &= ~(1 << v)
+        if nb:
+            edges.append((i, min(map(pos.__getitem__, iter_bits(nb)))))
+        else:
+            roots.append(i)
+        bags.append(nb | 1 << v)
+        for u in iter_bits(bags[i]):
+            holders[u] |= 1 << i
+    edges += zip(roots, roots[1:])
     # re-insert the peeled vertices, last first: each neighbor set is a
-    # clique of the graph rebuilt so far, so some bag already holds it
+    # clique of the graph rebuilt so far, so some bag already holds it; the
+    # first such bag is the lowest one that holds all of its vertices
     for v, nbs in reversed(peeled):
-        nbs = set(iter_bits(nbs))
-        if bags:
-            edges.append((next(i for i, b in enumerate(bags) if nbs <= b), len(bags)))
-        bags.append(frozenset({v} | nbs))
-        tw = max(tw, len(nbs))
-    td = TreeDecomposition(g, bags, edges)
+        held = -1
+        for u in iter_bits(nbs):
+            held &= holders[u]
+        i = len(bags)
+        if i:
+            edges.append(((held & -held).bit_length() - 1, i))
+        bags.append(nbs | 1 << v)
+        for u in iter_bits(bags[i]):
+            holders[u] |= 1 << i
+        tw = max(tw, nbs.bit_count())
+    td = TreeDecomposition(g, map(iter_bits, bags), edges)
     if td._violations or width(td) != tw:
         raise InternalError("treewidth_exact: the decomposition does not certify the width")
     return tw, td

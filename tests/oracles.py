@@ -2,7 +2,8 @@
 
 Deliberately naive: each function recomputes a quantity straight from its
 definition, sharing as little code as possible with the library, so that
-agreement between the two is meaningful evidence.
+agreement between the two is meaningful evidence. The named graph families
+and the few helpers that only the tests use live here too.
 """
 
 import itertools
@@ -20,6 +21,7 @@ from metriclab.graphs import (
     iter_bits,
     to_graph6,
 )
+from metriclab.hypergraphs import Hypergraph
 from metriclab.treedec import TreeDecomposition, _require_valid
 
 INF = float("inf")
@@ -667,7 +669,8 @@ def _delete_vertex(g, v):
 
 
 def _delete_edge(g, u, v):
-    h = g.copy()
+    h = Graph(g.n)
+    h.adj = list(g.adj)
     h.adj[u] &= ~(1 << v)
     h.adj[v] &= ~(1 << u)
     return h
@@ -758,6 +761,61 @@ def free_tree_canonical(g):
 
 
 # ---------------------------------------------------------------------------
+# named families, edge-list text and hypergraph dedup for the tests; the
+# generators build their own
+
+
+def path_graph(n):
+    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
+
+
+def cycle_graph(n):
+    if n < 3:
+        raise DomainError("cycle needs at least 3 vertices")
+    g = path_graph(n)
+    g.add_edge(n - 1, 0)
+    return g
+
+
+def complete_graph(n):
+    return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+
+
+def complete_bipartite(a, b):
+    return Graph.from_edges(a + b, ((u, a + v) for u in range(a) for v in range(b)))
+
+
+def star_graph(leaves):
+    return Graph.from_edges(leaves + 1, ((0, i) for i in range(1, leaves + 1)))
+
+
+def grid_graph(rows, cols):
+    """rows x cols grid; vertex (r,c) is r*cols + c."""
+    g = Graph(rows * cols)
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                g.add_edge(v, v + 1)
+            if r + 1 < rows:
+                g.add_edge(v, v + cols)
+    return g
+
+
+def format_edge_list(g):
+    return "\n".join(f"{u} {v}" for u, v in g.edges())
+
+
+def leaves(g):
+    return [v for v in range(g.n) if g.degree(v) == 1]
+
+
+def dedup(h):
+    """Drop repeated edge sets, keeping the first slot of each."""
+    return Hypergraph(h.nverts, list(dict.fromkeys(h.edges)))
+
+
+# ---------------------------------------------------------------------------
 # seeded random instances
 
 
@@ -790,8 +848,6 @@ def random_tree(rng, n):
 
 
 def random_hypergraph(rng, nverts, nedges):
-    from metriclab.hypergraphs import Hypergraph
-
     return Hypergraph(nverts, [rng.getrandbits(nverts) for _ in range(nedges)])
 
 

@@ -295,6 +295,22 @@ def test_cap_precedence_environment_beats_config(cli, tmp_path, monkeypatch):
     assert code == 0 and json.loads(out)["dimension"] == 3
 
 
+def test_bad_cap_input_is_refused(cli, tmp_path, monkeypatch):
+    cfg = tmp_path / "caps.cfg"
+    cases = [
+        ("md_n\n", f"{cfg}:1: expected key=value, got 'md_n'"),
+        ("foo = 3\n", f"{cfg}:1: unknown cap 'foo'"),
+        ("# caps\n\nmd_n = x\n", f"{cfg}:3: md_n needs an integer"),
+    ]
+    for text, message in cases:
+        cfg.write_text(text)
+        got = cli(["solve", "md", "--config", str(cfg)], stdin_text="IheA@GUAo\n")
+        assert got == (2, "", f"error: {message}\n")
+    monkeypatch.setenv("METRICLAB_MAXN", "abc")
+    got = cli(["solve", "md"], stdin_text="IheA@GUAo\n")
+    assert got == (2, "", "error: METRICLAB_MAXN must be an integer, got 'abc'\n")
+
+
 def test_hyper_tc_config_reads_the_test_cover_cap(cli, tmp_path):
     # 25 vertices, one edge per bit of the codes 1..25: twin-free, the five
     # edges form the unique minimum test cover

@@ -18,26 +18,26 @@ from metriclab.graphs import (
     _color_preserving_maps,
     _prepared,
     _refined_colors,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
     is_connected,
     is_tree,
     iso_invariant,
     parse_graph6,
-    path_graph,
-    star_graph,
     to_graph6,
 )
 from oracles import (
     _rooted_level_sequences,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
     free_tree_canonical,
+    path_graph,
     perm_automorphism_count,
     perm_isomorphic,
     random_tree,
     reference_connected_graphs,
     reference_free_trees,
     reference_tree_scan,
+    star_graph,
     tree_from_pruefer,
 )
 

@@ -10,7 +10,7 @@ from metriclab.extremal import (
     gen_o,
     hs_order,
 )
-from metriclab.graphs import MAX_VERTICES, all_distances, diameter, is_tree, isomorphic, leaves
+from metriclab.graphs import MAX_VERTICES, all_distances, diameter, is_tree, isomorphic
 from metriclab.hypergraphs import (
     distance_hypergraph,
     distance_hypergraph_fixed_radius,
@@ -19,6 +19,8 @@ from metriclab.hypergraphs import (
 )
 from metriclab.minors import is_outerplanar
 from metriclab.resolving import is_resolving, metric_dimension_exact
+
+from oracles import leaves
 
 
 def check_spec(g, spec):

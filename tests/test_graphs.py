@@ -15,28 +15,30 @@ from metriclab.graphs import (
     all_distances,
     bfs_distances,
     biconnected_components,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
     diameter,
     eccentricities,
-    format_edge_list,
-    grid_graph,
     is_chordal,
     is_connected,
     is_tree,
     iso_invariant,
     isomorphic,
     iter_bits,
-    leaves,
     parse_edge_list,
     parse_graph6,
-    path_graph,
-    star_graph,
     to_graph6,
 )
 
 import oracles
+from oracles import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    format_edge_list,
+    grid_graph,
+    leaves,
+    path_graph,
+    star_graph,
+)
 
 
 def test_constructors_basic_counts():
@@ -310,22 +312,26 @@ def test_chordal_matches_mcs_oracle():
 
 
 def test_chordal_peel_retests_only_neighbors(monkeypatch):
-    # the spine is numbered first, so a peel that rescans from vertex 0
-    # after each removal walks the whole spine every time (46350 calls)
+    # counts the vertices the peel lists. The spine is numbered first, so a
+    # peel that rescans from vertex 0 after each removal walks the whole
+    # spine every time; a re-test that lists all of a vertex's neighbors
+    # lists the centre's 2000 leaves again after each leaf goes (2007000)
     import metriclab.graphs as graphs_module
 
-    g = spine_first_caterpillar(300)
-    calls = 0
+    listed = 0
     real = graphs_module.iter_bits
 
     def counting(mask):
-        nonlocal calls
-        calls += 1
-        return real(mask)
+        nonlocal listed
+        out = real(mask)
+        listed += len(out)
+        return out
 
     monkeypatch.setattr(graphs_module, "iter_bits", counting)
-    assert is_chordal(g)
-    assert calls == 1799 <= 4 * g.n
+    for g, want in [(spine_first_caterpillar(300), 1198), (star_graph(2000), 4000)]:
+        listed = 0
+        assert is_chordal(g)
+        assert listed == want <= 2 * g.n
 
 
 # biconnected components -----------------------------------------------------

@@ -10,17 +10,9 @@ from metriclab import hypergraphs
 from metriclab.errors import DomainError, FormatError, TooLargeError
 from metriclab.enumeration import enumerate_connected_graphs
 from metriclab.extremal import gen_grid_chain, gen_line_example
-from metriclab.graphs import (
-    MAX_VERTICES,
-    Graph,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    star_graph,
-)
+from metriclab.graphs import MAX_VERTICES, Graph
 from metriclab.hypergraphs import (
     Hypergraph,
-    dedup,
     distance_hypergraph,
     distance_hypergraph_fixed_radius,
     dual,
@@ -38,6 +30,7 @@ from metriclab.resolving import metric_dimension_exact, resolving_to_test_cover
 from metriclab.resolving import test_cover_to_resolving as cover_to_resolving
 
 import oracles
+from oracles import complete_graph, cycle_graph, dedup, path_graph, star_graph
 
 
 def powerset_hypergraph(n):

@@ -6,26 +6,23 @@ import pytest
 from metriclab.enumeration import enumerate_connected_graphs
 from metriclab.errors import DomainError, TooLargeError
 from metriclab.extremal import gen_o
-from metriclab.graphs import (
-    Graph,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    parse_graph6,
-    path_graph,
-    star_graph,
-)
+from metriclab.graphs import Graph, parse_graph6
 from metriclab.minors import _smooth, has_clique_minor, is_outerplanar
 
 from oracles import _smooth as reference_smooth
 from oracles import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
     has_k23_minor,
     has_minor_brute,
+    path_graph,
     random_connected_graph,
     random_graph,
     random_tree,
     reference_has_clique_minor,
     reference_is_outerplanar,
+    star_graph,
 )
 
 CORPUS8 = Path(__file__).parent / "data" / "connected8.g6"

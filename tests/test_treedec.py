@@ -5,21 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from metriclab import treedec
 from metriclab.enumeration import enumerate_connected_graphs, enumerate_trees
 from metriclab.errors import DomainError, FormatError, TooLargeError
-from metriclab.graphs import (
-    Graph,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    diameter,
-    grid_graph,
-    is_chordal,
-    parse_graph6,
-    path_graph,
-    star_graph,
-    to_graph6,
-)
+from metriclab.graphs import Graph, _simplicial_peel, diameter, is_chordal, parse_graph6, to_graph6
 from metriclab.treedec import (
     TreeDecomposition,
     clique_tree,
@@ -35,14 +24,20 @@ from metriclab.treedec import (
 from oracles import (
     brute_max_clique,
     brute_treewidth,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    grid_graph,
     hanging_subtrees,
     is_reduced,
     nonleaf_bags_are_cutsets,
+    path_graph,
     random_connected_graph,
     random_graph,
     random_tree,
     reference_clique_tree,
     reference_violations,
+    star_graph,
 )
 
 
@@ -208,6 +203,10 @@ def test_reduce():
     red = reduce(dup)
     assert validate(red) == [] and is_reduced(red)
     assert sorted(map(sorted, red.bags)) == [[0, 1], [1, 2]]
+    # the lowest bag inside a neighbor goes into the lowest such neighbor,
+    # which takes over its other tree edges
+    claw = TreeDecomposition(star_graph(3), [{0}, {0, 1}, {0, 2}, {0, 3}], [(0, 1), (0, 2), (0, 3)])
+    assert format_pace(reduce(claw)) == "s td 3 2 4\nb 1 1 2\nb 2 1 3\nb 3 1 4\n1 2\n1 3\n"
 
 
 def test_reduce_preserves_width_and_length():
@@ -325,6 +324,31 @@ def test_treewidth_matches_brute():
         tw, td = treewidth_exact(g)
         assert tw == brute_treewidth(g)
         assert validate(td) == [] and width(td) == tw
+
+
+def test_treewidth_dp_beats_min_fill_and_rebuilds_its_order():
+    # the nine graphs to n=8 where the subset search beats min-fill, so the
+    # search walks its reconstruction chain back from the full core
+    codes = "GqGOVK GqLcm[ GqLc{{ GqMu^g GqMvV[ GqXc{w GqXc|w GqYNNK GrZ]}{".split()
+    texts = []
+    for code, want in zip(codes, [2, 4, 4, 4, 4, 4, 4, 4, 5]):
+        g = parse_graph6(code)
+        tw, td = treewidth_exact(g)
+        assert tw == want == brute_treewidth(g)
+        assert treedec._min_fill_order(g, _simplicial_peel(g)[1])[1] == want + 1
+        assert validate(td) == []
+        texts.append(format_pace(td))
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == "1cfff7ac196487c6194fc8dcbf1b89e4d2be2f03b12adb62daacbd352ee5e0d7"
+
+
+def test_treewidth_chains_the_roots_of_a_disconnected_core():
+    # C4 + C5: neither has a simplicial vertex, and each component's
+    # elimination ends in a bag of its own
+    c4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    c5 = [(4, 5), (5, 6), (6, 7), (7, 8), (8, 4)]
+    tw, td = treewidth_exact(Graph.from_edges(9, c4 + c5))
+    assert tw == 2 and validate(td) == []
 
 
 def test_treewidth_on_chordal():
