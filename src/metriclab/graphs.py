@@ -339,13 +339,13 @@ def parse_graph6(text: str) -> Graph:
         raise FormatError(
             f"graph6 body has {len(body)} characters, expected {(nbits + 5) // 6} for n={n}"
         )
-    bits = body.translate(_G6_BITS)
     g = Graph(n)
     adj = g.adj
     k = 0
     for j in range(1, n):
-        # column j, row 0 first, read backwards is j's mask of rows below j
-        col = int(bits[k : k + j][::-1], 2)
+        # column j (bits k..k+j-1, decoded from their characters only), row
+        # 0 first, read backwards is j's mask of rows below j
+        col = int(body[k // 6 : (k + j + 5) // 6].translate(_G6_BITS)[k % 6 : k % 6 + j][::-1], 2)
         k += j
         adj[j] |= col
         # mirror each edge ij into row i

@@ -43,8 +43,8 @@ builds it until tc, dvc, vc* and d2vc are all taken, and goes then, so a
 record of a graph that every suite has seen holds scalars only. A graph
 whose matrix is built a second time while a ball measurement is missing
 gets its ball hypergraph from that matrix at once, so in either suite
-order no graph needs a third matrix. vc* and d2vc each take the dual of
-the kept hypergraph afresh; neither the matrix nor the dual is kept. One
+order no graph needs a third matrix. vc* and d2vc search the kept
+hypergraph with its edges and columns swapped, so no dual is built. One
 engine, ``treewidth_exact``, gives every decomposition; the first read of
 width or length builds it and stores both numbers, so no later suite
 builds it again. A chordal graph peels away one simplicial vertex at a
@@ -95,9 +95,8 @@ from .graphs import (
 from .hypergraphs import (
     Hypergraph,
     _distance_hypergraph,
-    _dual_2vc,
+    _dual_dimension,
     _fixed_radius,
-    dual,
     min_test_cover,
     trace,
     vc_dimension,
@@ -221,9 +220,9 @@ _MEASURES = {
     "diam": lambda inst: _diameter(inst.dist()),
     "md": lambda inst: _metric_dimension(inst.g, inst.dist(), maxn=SOLVER_CAP).dimension,
     "tc": lambda inst: len(min_test_cover(inst.balls(), maxn=SOLVER_CAP)),
-    "vc_star": lambda inst: vc_dimension(dual(inst.balls()), maxn=SOLVER_CAP)[0],
+    "vc_star": lambda inst: _dual_dimension(inst.balls(), False, maxn=SOLVER_CAP)[0],
     "dvc": lambda inst: vc_dimension(inst.balls(), maxn=SOLVER_CAP)[0],
-    "d2vc": lambda inst: _dual_2vc(dual(inst.balls()), maxn=SOLVER_CAP),
+    "d2vc": lambda inst: _dual_dimension(inst.balls(), True, maxn=SOLVER_CAP)[0],
     "chordal": lambda inst: is_chordal(inst.g),
     "outerplanar": lambda inst: is_outerplanar(inst.g),
     "width": lambda inst: inst.decomposition()[0],

@@ -156,11 +156,12 @@ def is_twin_free(h: Hypergraph) -> bool:
 
 # ---------------------------------------------------------------------------
 # VC dimension and 2-VC dimension: one depth-first branch and bound over the
-# (2-)shattered sets in lexicographic preorder (_largest_shattered). A set's
-# trace groups are kept as masks over the distinct edges and split by one
-# vertex's column on the way down; one pass over them (_extensions) gives
-# a bound on how many more vertices can join the set and the vertices that
-# can still join it in a set larger than the best one found so far.
+# (2-)shattered sets in lexicographic preorder (_largest_shattered), on edge
+# slots and vertex columns, which the dual of a twin-free hypergraph swaps
+# (_dual_dimension). Trace groups are masks over the distinct edges, split by
+# one vertex's column on the way down; one pass over them (_extensions) bounds
+# how many more vertices can join the set and gives the ones that can still
+# join it in a set larger than the best one found so far.
 
 
 def _extensions(cols: list[int], cand: int, groups, pairs_only: bool, need: int) -> tuple[int, int]:
@@ -240,14 +241,15 @@ def _split(groups, cv: int, pairs_only: bool):
     )
 
 
-def _largest_shattered(h: Hypergraph, pairs_only: bool) -> tuple[int, ShatterWitness]:
+def _largest_shattered(edges: list[int], cols: list[int], pairs_only: bool) -> tuple[int, ShatterWitness]:
     """Largest shattered set (2-shattered if ``pairs_only``) and its witness.
 
-    The search visits the qualifying sets depth first in lexicographic
-    preorder: the children of X are the X | {v}, v > max(X), in increasing
-    v. Each node X holds its edges grouped by trace t = e & X, as masks
-    over the distinct edges of h; a child's groups are the parent's split
-    by the column of v (for vc2, the groups of traces 0, {a} and {a, b}).
+    ``edges`` are the edge slots; cols[v] masks the distinct edges (in
+    first-slot order) holding v. The search visits the qualifying sets depth
+    first in lexicographic preorder: the children of X are the X | {v},
+    v > max(X), in increasing v. Each node X holds its edges grouped by
+    trace t = e & X, as masks over the distinct edges; a child's groups are
+    the parent's split by v's column (for vc2, those of traces 0, {a}, {a, b}).
     X | {w} is shattered iff w splits every group (some edge of the group
     holds w and some does not, i.e. w in OR_t & ~AND_t), and 2-shattered
     iff for every a in X some edge of trace {a} holds w (so trace {a} must
@@ -289,11 +291,9 @@ def _largest_shattered(h: Hypergraph, pairs_only: bool) -> tuple[int, ShatterWit
     skipped subtree nor a dropped candidate holds a larger one, so the
     witness is the lexicographically first largest set, the same as that
     of testing every candidate X | {v} level by level. Each of its traces
-    is realized by its first edge slot in h (pairs only for 2-shattering).
+    is realized by its first slot in ``edges`` (pairs only for 2-shattering).
     """
-    edges = list(dict.fromkeys(h.edges))
-    cols = _columns(edges, h.nverts)
-    every = (1 << len(edges)) - 1
+    every = (1 << len(set(edges))) - 1
     root = (every, [], []) if pairs_only else [every]
     best, best_mask = 0, 0  # the empty set; vc2 always finds a singleton
 
@@ -313,9 +313,9 @@ def _largest_shattered(h: Hypergraph, pairs_only: bool) -> tuple[int, ShatterWit
                 need = best - size
                 search(xmask | v, size + 1, sub, *_extensions(cols, ext, sub, pairs_only, need))
 
-    search(0, 0, root, *_extensions(cols, (1 << h.nverts) - 1, root, pairs_only, 1))
+    search(0, 0, root, *_extensions(cols, (1 << len(cols)) - 1, root, pairs_only, 1))
     first: dict[int, int] = {}
-    for i, e in enumerate(h.edges):
+    for i, e in enumerate(edges):
         t = e & best_mask
         if t not in first and (not pairs_only or t.bit_count() == 2):
             first[t] = i
@@ -334,7 +334,7 @@ def vc_dimension(h: Hypergraph, maxn: int | None = None) -> tuple[int, ShatterWi
     enforce_cap(h.nverts, maxn, "vc_n", "vc_dimension: nverts={n} exceeds cap {cap}")
     if not h.edges:
         return 0, None
-    return _largest_shattered(h, pairs_only=False)
+    return _largest_shattered(h.edges, _columns(dict.fromkeys(h.edges), h.nverts), False)
 
 
 def vc2_dimension(h: Hypergraph, maxn: int | None = None) -> tuple[int, ShatterWitness]:
@@ -342,7 +342,7 @@ def vc2_dimension(h: Hypergraph, maxn: int | None = None) -> tuple[int, ShatterW
     enforce_cap(h.nverts, maxn, "vc_n", "vc2_dimension: nverts={n} exceeds cap {cap}")
     if h.nverts == 0:
         return 0, ShatterWitness([], {})
-    return _largest_shattered(h, pairs_only=True)
+    return _largest_shattered(h.edges, _columns(dict.fromkeys(h.edges), h.nverts), True)
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +407,17 @@ def dual_distance_2vc(g: Graph, maxn: int | None = None) -> int:
     """2-VC dimension of the dual of the ball hypergraph. Refuses before the
     hypergraph is built."""
     enforce_cap(g.n, maxn, "vc_n", "dual_distance_2vc: n={n} exceeds cap {cap}")
-    return _dual_2vc(dual(distance_hypergraph(g)), maxn)
+    return _dual_dimension(distance_hypergraph(g), True, maxn)[0]
 
 
-def _dual_2vc(d: Hypergraph, maxn: int | None = None) -> int:
-    """dual_distance_2vc from the dual d of the ball hypergraph, whose edges
-    are the graph's vertices, with the same cap."""
-    enforce_cap(len(d.edges), maxn, "vc_n", "dual_distance_2vc: n={n} exceeds cap {cap}")
-    return vc2_dimension(d, maxn=d.nverts)[0]
+def _dual_dimension(h: Hypergraph, pairs_only: bool, maxn: int | None = None) -> tuple[int, ShatterWitness]:
+    """vc_dimension(dual(h)), or vc2_dimension(dual(h)) if ``pairs_only``, with
+    no dual built, for a twin-free h with a vertex, as a ball hypergraph is (it
+    holds every radius-0 ball): the dual's edges, h's columns, are distinct,
+    so its columns are h's edges. vc* takes vc_dimension's cap on the dual."""
+    n, what = (h.nverts, "dual_distance_2vc: n") if pairs_only else (len(h.edges), "vc_dimension: nverts")
+    enforce_cap(n, maxn, "vc_n", what + "={n} exceeds cap {cap}")
+    return _largest_shattered(_columns(h.edges, h.nverts), h.edges, pairs_only)
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +433,12 @@ def min_test_cover(h: Hypergraph, maxn: int | None = None) -> list[int]:
     Returns sorted edge slots, checked to be a test cover.
     """
     enforce_cap(h.nverts, maxn, "md_n", "min_test_cover: nverts={n} exceeds cap {cap}")
-    if not is_twin_free(h):
-        raise DomainError("hypergraph has twin vertices; no test cover exists")
     n = h.nverts
-    union = 0
-    for e in h.edges:
-        union |= e
-    if union != (1 << n) - 1:
-        missing = next(v for v in range(n) if not union >> v & 1)
-        raise DomainError(f"vertex {missing} lies in no edge; no test cover exists")
+    cols = _columns(h.edges, n)
+    if len(set(cols)) != n:
+        raise DomainError("hypergraph has twin vertices; no test cover exists")
+    if 0 in cols:
+        raise DomainError(f"vertex {cols.index(0)} lies in no edge; no test cover exists")
     # an edge separates a pair iff it holds exactly one end, so its
     # separation bits are the XOR of the pair bits at each of its vertices
     pairs_at = [0] * n

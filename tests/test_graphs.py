@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,19 @@ def test_graph6_column_codec_against_independent_encoder():
         s = to_graph6(g)
         assert s == oracles.graph6_encode(g), n
         assert parse_graph6(s) == g, n
+
+
+def test_graph6_parse_memory_stays_near_the_input_size():
+    # 0.75 MB of graph6 for a path on 3000 vertices; decoding the whole body
+    # into one string of n(n-1)/2 bit characters first peaks near 6 MB
+    s = to_graph6(path_graph(3000))
+    tracemalloc.start()
+    try:
+        g = parse_graph6(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == path_graph(3000) and peak < 3 * 2**20
 
 
 def test_graph6_large_n_form():

@@ -14,7 +14,13 @@ from metriclab import harness, treedec
 from metriclab.errors import DomainError, FormatError, TooLargeError
 from metriclab.graphs import Graph, to_graph6
 from metriclab.harness import Failure, SuiteReport, run_suite, suite_names
-from metriclab.hypergraphs import dual_distance_2vc
+from metriclab.hypergraphs import (
+    distance_hypergraph,
+    dual,
+    dual_distance_2vc,
+    vc2_dimension,
+    vc_dimension,
+)
 from metriclab.resolving import metric_dimension_exact
 from metriclab.treedec import length, treewidth_exact, width
 
@@ -115,13 +121,16 @@ def test_instance_table_measures_each_graph_once(tmp_path, monkeypatch):
         solver = getattr(harness, name)
 
         def counted(x, *args, **kwargs):
-            calls.setdefault(name, Counter())[key(x)] += 1
+            calls.setdefault(name, Counter())[key(x, *args)] += 1
             return solver(x, *args, **kwargs)
 
         monkeypatch.setattr(harness, name, counted)
 
-    def hyper_key(h):
+    def hyper_key(h, *_):
         return h.nverts, tuple(h.edges)
+
+    def dual_key(h, pairs_only):
+        return hyper_key(h), pairs_only
 
     def matrix_key(dist):
         return tuple(map(tuple, dist))
@@ -133,7 +142,7 @@ def test_instance_table_measures_each_graph_once(tmp_path, monkeypatch):
     # object, not its graph6 code
     held = []
 
-    def graph_key(g):
+    def graph_key(g, *_):
         held.append(g)  # a live object's id is never reused
         return id(g)
 
@@ -148,10 +157,12 @@ def test_instance_table_measures_each_graph_once(tmp_path, monkeypatch):
     # one decomposition engine: the harness neither imports nor calls it
     assert not hasattr(harness, "clique_tree")
     monkeypatch.setattr(treedec, "clique_tree", no_clique_tree)
-    # a test cover is solved on the ball hypergraph and d2vc on its dual,
-    # each named by its edges; a ball hypergraph is named by its matrix
+    # a test cover, vc* and d2vc are solved on the ball hypergraph, named by
+    # its edges (vc* and d2vc apart by pairs_only), and no dual is built; a
+    # ball hypergraph is named by its matrix
+    assert not hasattr(harness, "dual")
     count("min_test_cover", hyper_key)
-    count("_dual_2vc", hyper_key)
+    count("_dual_dimension", dual_key)
     count("_distance_hypergraph", matrix_key)
     for order in (CONNECTED_SUITES, CONNECTED_SUITES[::-1]):
         harness._clear_instances()
@@ -160,12 +171,13 @@ def test_instance_table_measures_each_graph_once(tmp_path, monkeypatch):
             r = run_suite(name, nmax=8, corpus=shard)
             assert canonical(golden_doc(r)) == canonical(frozen[name]), (order[0], name)
         pool = harness._connected_pool(8, shard)  # the one the suites read
-        assert set(calls) == {*pool_measures, "_metric_dimension", "_dual_2vc",
+        assert set(calls) == {*pool_measures, "_metric_dimension", "_dual_dimension",
                               "min_test_cover", "all_distances", "_distance_hypergraph"}
         for name in pool_measures:
             assert set(calls[name]) <= {id(g) for _, g in pool}, (order[0], name)
-        for name in (*pool_measures, "_metric_dimension", "_dual_2vc", "min_test_cover"):
+        for name in (*pool_measures, "_metric_dimension", "_dual_dimension", "min_test_cover"):
             assert max(calls[name].values()) == 1, (order[0], name)
+        assert {pairs_only for _, pairs_only in calls["_dual_dimension"]} == {False, True}
         assert sum(calls["min_test_cover"].values()) <= len(pool)
         # one ball hypergraph per pool graph and none for the generated
         # outerplanar family; at most two matrices per pool graph
@@ -235,7 +247,7 @@ def test_measure_table_is_the_record_layout():
 
 
 def test_shared_structures_match_the_public_solvers():
-    # md, d2vc and length through one instance's matrix and the record's
+    # md, vc*, d2vc and length through one instance's matrix and the record's
     # ball hypergraph, on relabelled graphs past the n <= 7 enumeration
     rng = random.Random(40919)
     for _ in range(60):
@@ -247,6 +259,10 @@ def test_shared_structures_match_the_public_solvers():
         inst = harness._Instance(harness._Record(), h)
         assert inst.md == metric_dimension_exact(h).dimension == metric_dimension_exact(g).dimension
         assert inst.d2vc == dual_distance_2vc(h) == dual_distance_2vc(g)
+        # and vc* and d2vc equal the built dual's
+        d = dual(distance_hypergraph(h))
+        cap = harness.SOLVER_CAP
+        assert (inst.vc_star, inst.d2vc) == (vc_dimension(d, cap)[0], vc2_dimension(d, cap)[0])
         # the length is the decomposition's, which depends on the labels
         td = treewidth_exact(h)[1]
         assert (inst.width, inst.length) == (width(td), length(td))

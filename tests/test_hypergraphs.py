@@ -1,6 +1,7 @@
 import math
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from metriclab import hypergraphs
 from metriclab.errors import DomainError, FormatError, TooLargeError
 from metriclab.enumeration import enumerate_connected_graphs
 from metriclab.extremal import gen_grid_chain, gen_line_example
-from metriclab.graphs import MAX_VERTICES, Graph
+from metriclab.graphs import MAX_VERTICES, Graph, parse_graph6, to_graph6
 from metriclab.hypergraphs import (
     Hypergraph,
     distance_hypergraph,
@@ -277,9 +278,13 @@ def test_shatter_search_node_counts(monkeypatch):
     assert nodes(lambda: vc_dimension(distance_hypergraph_fixed_radius(g, 1), maxn=128)) == 41
     pool = list(enumerate_connected_graphs(6))
     assert nodes(lambda: [vc_dimension(distance_hypergraph(p)) for p in pool]) == 889
-    d = dual(distance_hypergraph(gen_grid_chain(3)[0]))
+    h = distance_hypergraph(gen_grid_chain(3)[0])
+    d = dual(h)
     assert nodes(lambda: vc2_dimension(d, maxn=128)) == 2237
     assert nodes(lambda: vc_dimension(d, maxn=128)) == 421
+    # the dual-free search walks the same tree as the built dual
+    assert nodes(lambda: hypergraphs._dual_dimension(h, True, maxn=128)) == 2237
+    assert nodes(lambda: hypergraphs._dual_dimension(h, False, maxn=128)) == 421
 
 
 def test_sauer_shelah_on_random_traces():
@@ -445,6 +450,26 @@ def test_fixed_radius_self_dual():
 def test_dual_distance_vc_examples():
     p3 = path_graph(3)
     assert dual_distance_2vc(p3) == oracles.brute_vc2(dual(distance_hypergraph(p3)))
+
+
+def test_dual_free_search_equals_the_built_dual():
+    # the ball hypergraph is twin-free, so its columns and edges are the
+    # dual's edges and columns: same dimension and witness, slot for slot
+    corpus = Path(__file__).parent / "data" / "connected8.g6"
+    graphs = list(enumerate_connected_graphs(7))
+    graphs += map(parse_graph6, corpus.read_text().splitlines()[::24])  # the 464-graph shard
+    rng = random.Random(3141)
+    for _ in range(100):
+        n = rng.randrange(8, 13)
+        g = oracles.random_connected_graph(rng, n, rng.choice((0.15, 0.3, 0.6)))
+        graphs.append(g.relabeled(rng.sample(range(n), n)))
+    for g in graphs:
+        h = distance_hypergraph(g)
+        d = dual(h)
+        for pairs_only, solver in ((False, vc_dimension), (True, vc2_dimension)):
+            k, wit = hypergraphs._dual_dimension(h, pairs_only, maxn=128)
+            ref_k, ref_wit = solver(d, maxn=128)
+            assert (k, wit.to_json()) == (ref_k, ref_wit.to_json()), (to_graph6(g), pairs_only)
 
 
 def test_trees_have_small_dual_distance_2vc():

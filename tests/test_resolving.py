@@ -9,7 +9,7 @@ import pytest
 
 import metriclab
 import metriclab.graphs
-from metriclab import hypergraphs, resolving, treedec
+from metriclab import harness, hypergraphs, resolving, treedec
 from metriclab.enumeration import enumerate_connected_graphs, enumerate_trees
 from metriclab.errors import DomainError, InternalError, TooLargeError
 from metriclab.graphs import Graph, diameter, iter_bits
@@ -150,13 +150,28 @@ def test_solvers_check_their_answers(monkeypatch):
     monkeypatch.setattr(treedec, "_treewidth_core", lambda g, core: (0, list(iter_bits(core))))
     with pytest.raises(InternalError, match="does not certify the width"):
         treedec.treewidth_exact(cycle_graph(5))
+    # a shatter search that takes every vertex: its witness misses a trace,
+    # through the public solvers, the built dual and the dual-free harness
+    monkeypatch.setattr(
+        hypergraphs, "_extensions", lambda cols, cand, groups, pairs_only, need: (cand, 99)
+    )
+    balls = distance_hypergraph(path_graph(4))
+    for h in (balls, hypergraphs.dual(balls)):
+        for solver in (hypergraphs.vc_dimension, hypergraphs.vc2_dimension):
+            with pytest.raises(InternalError, match="misses a trace"):
+                solver(h)
+    with pytest.raises(InternalError, match="misses a trace"):
+        hypergraphs.dual_distance_2vc(path_graph(4))
+    for name in ("vc_star", "dvc", "d2vc"):
+        with pytest.raises(InternalError, match="misses a trace"):
+            getattr(harness._Instance(harness._Record(), path_graph(4)), name)
 
 
 def test_solver_checks_survive_python_O():
     script = textwrap.dedent(
         """
         import pytest
-        from metriclab import hypergraphs, resolving, treedec
+        from metriclab import harness, hypergraphs, resolving, treedec
         from metriclab.errors import InternalError
         from metriclab.graphs import iter_bits
         from oracles import cycle_graph, path_graph, star_graph
@@ -180,6 +195,17 @@ def test_solver_checks_survive_python_O():
         resolving._bfs_certificate = lambda t, s: real(t, [0] * len(s))
         with pytest.raises(InternalError):
             resolving.tree_metric_dimension(star_graph(3))
+        hypergraphs._extensions = lambda cols, cand, groups, pairs_only, need: (cand, 99)
+        balls = hypergraphs.distance_hypergraph(path_graph(4))
+        for h in (balls, hypergraphs.dual(balls)):
+            for solver in (hypergraphs.vc_dimension, hypergraphs.vc2_dimension):
+                with pytest.raises(InternalError):
+                    solver(h)
+        with pytest.raises(InternalError):
+            hypergraphs.dual_distance_2vc(path_graph(4))
+        for name in ("vc_star", "dvc", "d2vc"):
+            with pytest.raises(InternalError):
+                getattr(harness._Instance(harness._Record(), path_graph(4)), name)
         print("checked")
         """
     )
