@@ -85,17 +85,6 @@ class Graph:
             for v in iter_bits(rest):
                 yield (u, v)
 
-    def induced(self, vertices) -> "Graph":
-        """Induced subgraph on the given vertices, renumbered in sorted order."""
-        vs = sorted(set(vertices))
-        pos = {v: i for i, v in enumerate(vs)}
-        g = Graph(len(vs))
-        for v in vs:
-            for u in iter_bits(self.adj[v]):
-                if u < v and u in pos:
-                    g.add_edge(pos[u], pos[v])
-        return g
-
     def relabeled(self, perm: list[int]) -> "Graph":
         """Image under vertex map old -> perm[old] (a permutation)."""
         g = Graph(self.n)

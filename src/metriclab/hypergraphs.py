@@ -105,7 +105,7 @@ def format_hypergraph(h: Hypergraph) -> str:
     out = [f"p hyper {h.nverts} {len(h.edges)}"]
     for e in h.edges:
         out.append(" ".join(str(v) for v in iter_bits(e)))
-    return "\n".join(out)
+    return "\n".join(out) + "\n"  # every line ends, so a last empty edge is kept
 
 
 # ---------------------------------------------------------------------------

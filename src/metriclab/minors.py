@@ -5,7 +5,8 @@ K_t with t >= 4 (minimum degree 3) lives inside one block, so the input is
 split into biconnected components and each block is smoothed: suppressing a
 degree-2 vertex keeps exactly the minors of minimum degree >= 3, and the
 smoothed block is itself a minor of the original. Bare cycles are skipped.
-The minor_n cap applies to what these exact reductions leave.
+No block is copied: each is searched in host labels, on its adjacency masked
+to the block and the mask of its survivors, which the minor_n cap counts.
 The search enumerates connected vertex subsets once, then assigns one to
 each pattern vertex with bitmask disjointness/adjacency checks, masks
 increasing to kill the symmetry of K_t.
@@ -20,14 +21,11 @@ from .errors import DomainError
 from .graphs import Graph, biconnected_components, iter_bits
 
 
-def _connected_subsets(g: Graph, max_size: int) -> list[tuple[int, int]]:
-    """All (mask, open-neighborhood-mask) of connected sets, each once."""
+def _connected_subsets(adj: dict[int, int], alive: int, max_size: int) -> list[tuple[int, int]]:
+    """All (mask, open-neighborhood-mask) of connected subsets of alive, each once."""
     res: list[tuple[int, int]] = []
 
-    def grow(mask: int, ext: int, banned: int) -> None:
-        nb = 0
-        for v in iter_bits(mask):
-            nb |= g.adj[v]
+    def grow(mask: int, nb: int, ext: int, banned: int) -> None:
         res.append((mask, nb & ~mask))
         if mask.bit_count() == max_size:
             return
@@ -37,22 +35,23 @@ def _connected_subsets(g: Graph, max_size: int) -> list[tuple[int, int]]:
             low = todo & -todo
             todo ^= low
             u = low.bit_length() - 1
-            new_ext = (ext | g.adj[u]) & ~mask & ~low & ~local_banned
-            grow(mask | low, new_ext, local_banned)
+            new_ext = (ext | adj[u]) & ~mask & ~low & ~local_banned
+            grow(mask | low, nb | adj[u], new_ext, local_banned)
             local_banned |= low
 
-    for v in range(g.n):
+    for v in iter_bits(alive):
         below = (1 << v) - 1  # roots ascending; smaller vertices banned
-        grow(1 << v, g.adj[v] & ~below, below)
+        grow(1 << v, adj[v], adj[v] & ~below, below)
     return res
 
 
-def _branch_set_search(g: Graph, t: int) -> bool:
-    """Is there a K_t minor model in connected graph g? Each branch set must
-    touch every earlier one, and the masks increase along the pattern."""
-    if g.n < t:
+def _branch_set_search(adj: dict[int, int], alive: int, t: int) -> bool:
+    """Is there a K_t minor model in the connected graph on alive? Each branch
+    set must touch every earlier one, and the masks increase along the pattern."""
+    n = alive.bit_count()
+    if n < t:
         return False
-    cands = _connected_subsets(g, g.n - (t - 1))
+    cands = _connected_subsets(adj, alive, n - (t - 1))
     cands.sort(key=lambda p: (p[0].bit_count(), p[0]))
     chosen_masks = [0] * t
 
@@ -64,7 +63,7 @@ def _branch_set_search(g: Graph, t: int) -> bool:
         for mask, nb in cands:
             if mask <= floor or mask & used:
                 continue
-            if (g.n - (used | mask).bit_count()) < need:
+            if (n - (used | mask).bit_count()) < need:
                 continue
             for j in range(i):
                 if not nb & chosen_masks[j]:
@@ -78,7 +77,7 @@ def _branch_set_search(g: Graph, t: int) -> bool:
     return dfs(0, 0)
 
 
-def _suppress(adj: list[int], v: int, push) -> tuple[int, int]:
+def _suppress(adj: dict[int, int], v: int, push) -> tuple[int, int]:
     """Replace the path a-v-b (a < b) by the edge ab in place; push each of
     a, b whose degree falls to 2 (it was adjacent to the other). Returns (a, b)."""
     a, b = iter_bits(adj[v])
@@ -89,19 +88,18 @@ def _suppress(adj: list[int], v: int, push) -> tuple[int, int]:
     return a, b
 
 
-def _smooth(g: Graph) -> Graph:
-    """Suppress degree-2 vertices until none remain or only a triangle is left.
+def _smooth(adj: dict[int, int], alive: int) -> int:
+    """Suppress degree-2 vertices of the graph on alive, in place, until none
+    remain or only a triangle is left; returns the mask of the survivors.
 
-    Always suppresses the lowest remaining vertex of degree 2, on the
-    adjacency masks in place, and renumbers the survivors once at the end.
-    Suppressing v with neighbors a, b never raises a degree (ab replaces
-    av and bv), so the heap holds every vertex of degree 2, each pushed once
-    when it reaches 2, plus stale ones that have dropped below 2.
+    Always suppresses the lowest remaining vertex of degree 2. Suppressing
+    v with neighbors a, b never raises a degree (ab replaces av and bv), so
+    the heap holds every vertex of degree 2, each pushed once when it
+    reaches 2, plus stale ones that have dropped below 2. No survivor keeps
+    a suppressed vertex as a neighbor.
     """
-    adj = list(g.adj)
-    todo = [v for v in range(g.n) if adj[v].bit_count() == 2]  # sorted: a heap
-    alive = (1 << g.n) - 1
-    n = g.n
+    todo = [v for v in iter_bits(alive) if adj[v].bit_count() == 2]  # sorted: a heap
+    n = alive.bit_count()
     while n > 3 and todo:
         v = heappop(todo)
         if adj[v].bit_count() != 2:
@@ -109,9 +107,7 @@ def _smooth(g: Graph) -> Graph:
         _suppress(adj, v, lambda x: heappush(todo, x))
         alive ^= 1 << v
         n -= 1
-    smoothed = Graph(g.n)
-    smoothed.adj = adj
-    return smoothed.induced(iter_bits(alive))
+    return alive
 
 
 def has_clique_minor(g: Graph, t: int, maxn: int | None = None) -> bool:
@@ -128,15 +124,18 @@ def has_clique_minor(g: Graph, t: int, maxn: int | None = None) -> bool:
         return g.m >= 1
     if t == 3:
         return any(len(b) >= 3 for b in biconnected_components(g))
-    blocks = [g.induced(b) for b in biconnected_components(g) if len(b) >= t]
-    for b in sorted(blocks, key=lambda b: b.n):
-        if all(b.degree(v) == 2 for v in range(b.n)):
+    blocks = [b for b in biconnected_components(g) if len(b) >= t]
+    for block in sorted(blocks, key=len):
+        mask = sum(1 << v for v in block)
+        adj = {v: g.adj[v] & mask for v in block}
+        if all(a.bit_count() == 2 for a in adj.values()):
             continue  # a bare cycle, which smoothing would only shrink to a triangle
-        b = _smooth(b)
-        if b.n < t:
+        alive = _smooth(adj, mask)
+        n = alive.bit_count()
+        if n < t:
             continue
-        enforce_cap(b.n, maxn, "minor_n", "has_clique_minor: reduced block has {n} vertices, cap {cap}")
-        if _branch_set_search(b, t):
+        enforce_cap(n, maxn, "minor_n", "has_clique_minor: reduced block has {n} vertices, cap {cap}")
+        if _branch_set_search(adj, alive, t):
             return True
     return False
 
@@ -165,8 +164,9 @@ def is_outerplanar(g: Graph) -> bool:
     for block in biconnected_components(g):
         if len(block) < 4:
             continue
-        adj = g.induced(block).adj
-        todo = [v for v in range(len(block)) if adj[v].bit_count() == 2]
+        mask = sum(1 << v for v in block)
+        adj = {v: g.adj[v] & mask for v in block}
+        todo = [v for v in block if adj[v].bit_count() == 2]
         exposed = set()
         for _ in range(len(block) - 3):
             if not todo:

@@ -161,7 +161,7 @@ def color_partition(colors):
 def chordal_by_definition(g):
     for size in range(4, g.n + 1):
         for sub in itertools.combinations(range(g.n), size):
-            ind = g.induced(sub)
+            ind = induced(g, sub)
             if all(ind.degree(v) == 2 for v in range(ind.n)) and is_connected(ind):
                 return False
     return True
@@ -615,7 +615,7 @@ def nonleaf_bags_are_cutsets(td) -> tuple[bool, int | None]:
         if deg[i] < 2:
             continue
         rest = [v for v in range(td.host.n) if v not in bag]
-        sub = td.host.induced(rest)
+        sub = induced(td.host, rest)
         if sub.n and is_connected(sub):
             return False, i
     return True, None
@@ -665,7 +665,7 @@ def _contract(g, u, v):
 
 
 def _delete_vertex(g, v):
-    return g.induced([w for w in range(g.n) if w != v])
+    return induced(g, [w for w in range(g.n) if w != v])
 
 
 def _delete_edge(g, u, v):
@@ -761,8 +761,8 @@ def free_tree_canonical(g):
 
 
 # ---------------------------------------------------------------------------
-# named families, edge-list text and hypergraph dedup for the tests; the
-# generators build their own
+# named families, induced subgraphs, edge-list text and hypergraph dedup for
+# the tests; the generators build their own
 
 
 def path_graph(n):
@@ -800,6 +800,18 @@ def grid_graph(rows, cols):
             if r + 1 < rows:
                 g.add_edge(v, v + cols)
     return g
+
+
+def induced(g, vertices):
+    """Induced subgraph on the given vertices, renumbered in sorted order."""
+    vs = sorted(set(vertices))
+    pos = {v: i for i, v in enumerate(vs)}
+    h = Graph(len(vs))
+    for v in vs:
+        for u in iter_bits(g.adj[v]):
+            if u < v and u in pos:
+                h.add_edge(pos[u], pos[v])
+    return h
 
 
 def format_edge_list(g):
@@ -1029,7 +1041,7 @@ def _minor_in_some_block(
     just before its search, with ``too_large`` as the message."""
     t = len(pattern_adj)
     smooth = all(p.bit_count() >= 3 for p in pattern_adj)
-    blocks = [g.induced(b) for b in biconnected_components(g) if len(b) >= t]
+    blocks = [induced(g, b) for b in biconnected_components(g) if len(b) >= t]
     for b in sorted(blocks, key=lambda b: b.n):
         if _is_cycle_block(b):
             continue

@@ -14,6 +14,7 @@ from metriclab.bounds import bound_names
 from metriclab.cli import main
 from metriclab.harness import suite_names
 from metriclab.graphs import parse_graph6
+from metriclab.hypergraphs import Hypergraph, parse_hypergraph
 
 
 @pytest.fixture
@@ -125,6 +126,19 @@ def test_hyper_pipeline(cli):
     assert code == 0 and out.splitlines()[0] == "p hyper 17 7"
     code, out, _ = cli(["hyper", "prop9"], stdin_text=htext)
     assert code == 0 and out.startswith("p hyper ")
+
+
+def test_hyper_text_keeps_a_trailing_empty_edge(cli):
+    # the dual of one edge {0} over two vertices ends in the empty edge of 1
+    text = "p hyper 2 1\n0\n"
+    code, dual, _ = cli(["hyper", "dual"], stdin_text=text)
+    assert code == 0 and dual == "p hyper 1 2\n0\n\n"
+    assert cli(["hyper", "dual"], stdin_text=dual) == (0, text, "")
+    code, out, err = cli(["hyper", "prop9"], stdin_text="p hyper 2 2\n0\n1\n")
+    assert code == 0 and err == ""
+    assert parse_hypergraph(out) == Hypergraph(1, [1, 0])
+    code, out, _ = cli(["hyper", "dhg"], stdin_text="@\n")
+    assert code == 0 and out == "p hyper 1 1\n0\n"
 
 
 def test_hyper_dhg_fixed_radius(cli):

@@ -153,7 +153,7 @@ def test_is_tree():
 
 def test_induced_subgraph_keeps_structure():
     g = cycle_graph(5)
-    h = g.induced([1, 2, 3])
+    h = oracles.induced(g, [1, 2, 3])
     assert h.n == 3 and sorted(h.edges()) == [(0, 1), (1, 2)]
 
 
@@ -377,11 +377,11 @@ def test_blocks_cover_all_edges_and_isolated_vertices():
         blocks = biconnected_components(g)
         seen = set()
         for blk in blocks:
-            sub = g.induced(blk)
+            sub = oracles.induced(g, blk)
             # a block with >= 3 vertices is 2-connected: no cut vertex
             if sub.n >= 3:
                 for v in range(sub.n):
-                    rest = sub.induced([u for u in range(sub.n) if u != v])
+                    rest = oracles.induced(sub, [u for u in range(sub.n) if u != v])
                     assert is_connected(rest)
             for e in sub.edges():
                 a, b = blk[e[0]], blk[e[1]]

@@ -57,6 +57,11 @@ def test_text_round_trip():
     assert parse_hypergraph(text) == h
     # blank line is the empty edge
     assert parse_hypergraph("p hyper 2 1\n\n") == Hypergraph(2, [0])
+    # an empty last edge is a line of its own too
+    for h in (Hypergraph(2, [0b01, 0]), Hypergraph(1, [0])):
+        text = format_hypergraph(h)
+        assert text.endswith("\n")
+        assert parse_hypergraph(text) == h
 
 
 def test_text_errors():

@@ -6,7 +6,8 @@ import pytest
 from metriclab.enumeration import enumerate_connected_graphs
 from metriclab.errors import DomainError, TooLargeError
 from metriclab.extremal import gen_o
-from metriclab.graphs import Graph, parse_graph6
+from metriclab import minors
+from metriclab.graphs import Graph, biconnected_components, iter_bits, parse_graph6
 from metriclab.minors import _smooth, has_clique_minor, is_outerplanar
 
 from oracles import _smooth as reference_smooth
@@ -16,6 +17,7 @@ from oracles import (
     cycle_graph,
     has_k23_minor,
     has_minor_brute,
+    induced,
     path_graph,
     random_connected_graph,
     random_graph,
@@ -204,12 +206,111 @@ def test_smoothing_long_blocks_matches_reference():
     for base in (complete_graph(5), complete_graph(6), complete_bipartite(3, 3), petersen()):
         pool += [subdivision(rng, base, rng.randint(30, 200)) for _ in range(3)]
     for g in pool:
-        assert _smooth(g) == reference_smooth(g)
+        assert biconnected_components(g) == [list(range(g.n))]  # one block
+        adj = dict(enumerate(g.adj))
+        alive = _smooth(adj, (1 << g.n) - 1)
+        smoothed = Graph(g.n)
+        smoothed.adj = list(adj.values())
+        assert induced(smoothed, iter_bits(alive)) == reference_smooth(g)
         for t in (4, 5):
             assert has_clique_minor(g, t) == reference_has_clique_minor(g, t)
     for t in (4, 5):
         assert any(has_clique_minor(g, t) for g in pool)
         assert not all(has_clique_minor(g, t) for g in pool)
+
+
+def test_clique_minor_search_work_is_pinned(monkeypatch):
+    # the connected subsets enumerated per search pin the K_t search over
+    # the n <= 7 pool; a lost reduction or a wider block moves a count
+    calls = cands = 0
+    connected_subsets = minors._connected_subsets
+
+    def counted(*args):
+        nonlocal calls, cands
+        res = connected_subsets(*args)
+        calls += 1
+        cands += len(res)
+        return res
+
+    monkeypatch.setattr(minors, "_connected_subsets", counted)
+    pool = list(enumerate_connected_graphs(7))
+    assert len(pool) == 996
+    work = {}
+    for t in (4, 5):
+        calls = cands = 0
+        work[t] = (sum(has_clique_minor(g, t) for g in pool), calls, cands)
+    assert work == {4: (675, 675, 21567), 5: (174, 496, 11312)}
+    assert sum(map(is_outerplanar, pool)) == 240
+
+
+def glued_blocks(rng, blocks):
+    """The blocks glued at cut vertices in a tree shape: each new block
+    shares one random vertex with the graph so far. Labels shuffled."""
+    edges, n = list(blocks[0].edges()), blocks[0].n
+    for b in blocks[1:]:
+        cut, pivot = rng.randrange(n), rng.randrange(b.n)
+        pos = {v: n + v - (v > pivot) for v in range(b.n)}
+        pos[pivot] = cut
+        edges += [(pos[u], pos[v]) for u, v in b.edges()]
+        n += b.n - 1
+    return shuffled(rng, n, edges)
+
+
+def small_block(rng, kind):
+    """A 2-connected graph of at most 14 vertices, or a bridge."""
+    if kind == 0:
+        ears = rng.randint(1, 2)
+        return ear_graph(rng, rng.randint(3 + 5 * ears, 14), ears)
+    if kind == 1:
+        n = rng.randint(4, 12)
+        return chorded_cycle(n, 0, rng.randint(2, n - 2))
+    if kind == 2:
+        return rng.choice([complete_graph(4), complete_graph(5), path_graph(2)])
+    base = complete_bipartite(2, 3) if kind < 5 else complete_bipartite(3, 3)
+    return subdivision(rng, base, rng.randint(base.n, 12))
+
+
+def test_blocks_sharing_cut_vertices_match_reference():
+    # every cut vertex has neighbors in other blocks; each block is searched
+    # on its adjacency masked to the block, so those must not leak in
+    rng = random.Random(3030)
+    answers = []
+    for _ in range(120):
+        kinds = rng.sample(range(7), rng.randint(1, 3))  # some graphs outerplanar
+        blocks = [small_block(rng, rng.choice(kinds)) for _ in range(rng.randint(2, 8))]
+        g = glued_blocks(rng, blocks)
+        got = (has_clique_minor(g, 4), has_clique_minor(g, 5), is_outerplanar(g))
+        assert got == (
+            reference_has_clique_minor(g, 4),
+            reference_has_clique_minor(g, 5),
+            reference_is_outerplanar(g),
+        )
+        answers.append(got)
+    for i in range(3):
+        assert {a[i] for a in answers} == {False, True}
+
+
+def chorded_cycle_chain(blocks):
+    """5-cycles glued end to end, block i on 4i..4i+4 with the chord (4i, 4i+2)."""
+    g = Graph(4 * blocks + 1)
+    for s in range(0, 4 * blocks, 4):
+        for j in range(4):
+            g.add_edge(s + j, s + j + 1)
+        g.add_edge(s + 4, s)
+        g.add_edge(s, s + 2)
+    return g
+
+
+def test_long_chain_of_chorded_cycles():
+    # 2000 blocks in a row, 8001 vertices: each cut vertex has neighbors in two
+    # blocks, and one crossing chord in a middle block flips both answers
+    g = chorded_cycle_chain(2000)
+    assert g.n == 8001
+    assert is_outerplanar(g)
+    assert not has_clique_minor(g, 4)
+    g.add_edge(4 * 1000 + 1, 4 * 1000 + 3)  # crosses the chord of a middle block
+    assert not is_outerplanar(g)
+    assert has_clique_minor(g, 4)
 
 
 def test_outerplanarity_has_no_cap():
